@@ -131,16 +131,6 @@ impl RunSpec {
         match &self.resume {
             Some(path) => {
                 let ckpt = Checkpoint::read_file(path).unwrap_or_else(|e| fail(&e));
-                let want = match self.backend {
-                    Backend::Sim => "sim",
-                    Backend::Threaded => "threaded",
-                };
-                if ckpt.backend != want {
-                    fail(&format!(
-                        "checkpoint {path} was written by the {:?} backend; pass --backend {}",
-                        ckpt.backend, ckpt.backend
-                    ));
-                }
                 match self.backend {
                     Backend::Sim => {
                         algorithms::selsync::run_resumed(&cfg, &ckpt);

@@ -164,15 +164,6 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        if ckpt.backend != "sim" && ckpt.backend != "threaded" {
-            eprintln!(
-                "error: checkpoint {path} was written by the unknown {:?} backend; \
-                 scenario_run resumes simulator checkpoints directly and threaded \
-                 ones via cross-backend translation (docs/RECOVERY.md)",
-                ckpt.backend
-            );
-            std::process::exit(1);
-        }
         let mut cfg = scenario.train_config(AlgorithmSpec::selsync(scenario.delta));
         if scenario.trace.enabled {
             cfg.trace = TraceSink::capture(scenario.trace.granularity);

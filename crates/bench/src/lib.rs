@@ -6,9 +6,9 @@
 //! `bench_results/`.
 //!
 //! Scaling: the paper's runs train to full convergence on 16 V100s. The harness defaults
-//! to a *scaled* setup (documented per experiment in `EXPERIMENTS.md`) so the whole
-//! suite finishes on a laptop; set the environment variable `SELSYNC_SCALE=full` for the
-//! larger configuration (more iterations and the paper's 16 workers).
+//! to a *scaled* setup (see [`Scale`]) so the whole suite finishes on a laptop; set the
+//! environment variable `SELSYNC_SCALE=full` for the larger configuration (more
+//! iterations and the paper's 16 workers).
 
 use selsync::algorithms;
 use selsync::config::{AlgorithmSpec, TrainConfig};
@@ -18,7 +18,6 @@ use selsync_metrics::kde::{gaussian_kde, kde_distance};
 use selsync_metrics::table::{fmt_f, Table};
 use selsync_nn::cost::{compute_time_ms, fits_in_memory, memory_bytes, DeviceProfile};
 use selsync_nn::model::{ModelKind, PaperModel};
-use selsync_tensor::Tensor;
 
 /// How large the experiments are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -773,25 +772,6 @@ pub fn build_training_data(kind: ModelKind, cfg: &TrainConfig) -> selsync_data::
     }
 }
 
-/// Synthetic gradient vector of a model's (analogue) dimensionality, used by the
-/// criterion micro-benchmarks.
-pub fn synthetic_gradient(kind: ModelKind) -> Vec<f32> {
-    let dim = PaperModel::build(kind, 1).param_count();
-    (0..dim)
-        .map(|i| (((i * 2654435761) % 1000) as f32 / 1000.0 - 0.5) * 0.01)
-        .collect()
-}
-
-/// A deterministic input batch for micro-benchmarks.
-pub fn synthetic_batch(kind: ModelKind, batch: usize) -> (Tensor, Vec<usize>) {
-    let model = PaperModel::build(kind, 1);
-    let x = Tensor::from_fn(batch, model.input_dim(), |r, c| {
-        (((r * 31 + c * 7) % 13) as f32 - 6.0) * 0.1
-    });
-    let y = (0..batch).map(|i| i % model.output_dim()).collect();
-    (x, y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,16 +821,5 @@ mod tests {
         assert_eq!(Scale::Quick.workers(), 8);
         assert_eq!(Scale::Full.workers(), 16);
         assert!(Scale::Quick.iterations() < Scale::Full.iterations());
-    }
-
-    #[test]
-    fn synthetic_helpers_match_model_shapes() {
-        for kind in ModelKind::all() {
-            let g = synthetic_gradient(kind);
-            assert_eq!(g.len(), PaperModel::build(kind, 1).param_count());
-            let (x, y) = synthetic_batch(kind, 8);
-            assert_eq!(x.rows(), 8);
-            assert_eq!(y.len(), 8);
-        }
     }
 }

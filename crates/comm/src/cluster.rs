@@ -2,8 +2,8 @@
 //!
 //! Spawns one OS thread per worker, hands each a worker id plus shared handles (the
 //! parameter server and the collectives group), and collects the per-worker results.
-//! The threaded algorithm drivers in the `selsync` crate and the integration tests use
-//! this to exercise the real blocking/rendezvous code paths.
+//! The `selsync` crate's hub builds its shared state with [`make_handles`]; the tests
+//! here use [`run_cluster`] to exercise the real blocking/rendezvous code paths.
 
 use crate::collective::Collective;
 use crate::ps::ParameterServer;
@@ -36,18 +36,7 @@ where
     T: Send,
     F: Fn(usize, ClusterHandles) -> T + Send + Sync,
 {
-    run_cluster_with(make_handles(world_size, initial_global), f)
-}
-
-/// [`run_cluster`] over pre-built handles — for drivers that need to configure the
-/// shared parameter server (e.g. enable the scheduled-snapshot ring for deterministic
-/// rejoin pulls) before the worker threads start.
-pub fn run_cluster_with<T, F>(handles: ClusterHandles, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, ClusterHandles) -> T + Send + Sync,
-{
-    let world_size = handles.world_size;
+    let handles = make_handles(world_size, initial_global);
     std::thread::scope(|scope| {
         let joins: Vec<_> = (0..world_size)
             .map(|w| {

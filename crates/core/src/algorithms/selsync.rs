@@ -85,13 +85,8 @@ fn run_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> RunReport {
     // layout up front; everything below sees a native "sim" checkpoint.
     let translated;
     let resume = match resume {
-        Some(ckpt) if ckpt.backend == "threaded" => {
+        Some(ckpt) if ckpt.backend == "threaded" || ckpt.backend == "process" => {
             translated = crate::resume::threaded_to_sim(cfg, ckpt);
-            Some(&translated)
-        }
-        Some(ckpt) if ckpt.backend == "process" => {
-            translated =
-                crate::resume::threaded_to_sim(cfg, &crate::resume::process_to_threaded(ckpt));
             Some(&translated)
         }
         other => other,

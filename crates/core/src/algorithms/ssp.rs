@@ -6,7 +6,7 @@
 //! bounds how far the fastest worker may run ahead of the slowest: when exceeded, the
 //! fast worker blocks (its simulated clock advances to the slowest worker's).
 //!
-//! Modelling notes (documented in DESIGN.md): the simulator is sequential, so "fast" and
+//! Modelling notes: the simulator is sequential, so "fast" and
 //! "slow" workers are expressed through per-worker compute-time multipliers supplied by
 //! the [`crate::conditions::ClusterConditions`] heterogeneity profile — when the run
 //! configures no profile at all (`base_speed` empty), the paper's default applies

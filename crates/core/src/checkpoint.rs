@@ -33,6 +33,7 @@
 //! and carries **no trailing newline**, so any single-byte corruption — including
 //! in the checksum line itself — is rejected at decode time.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
@@ -223,8 +224,9 @@ impl SectionReader<'_> {
 /// A complete, decoded checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Which driver wrote it (`"sim"` / `"threaded"` / `"process"`); resume
-    /// refuses a mismatch.
+    /// Which driver wrote it (`"sim"` / `"threaded"` / `"process"`). The two
+    /// real backends share one layout; resume translates to or from `"sim"`
+    /// and refuses any other tag.
     pub backend: String,
     /// [`config_fingerprint`] of the run's configuration; resume refuses a mismatch.
     pub fingerprint: u64,
@@ -292,14 +294,19 @@ impl Checkpoint {
                 s.ints.len(),
                 s.floats.len()
             ));
-            let ints: Vec<String> = s.ints.iter().map(|v| v.to_string()).collect();
-            out.push_str(&format!("i {}\n", ints.join(" ")));
-            let floats: Vec<String> = s
-                .floats
-                .iter()
-                .map(|v| format!("{:08x}", v.to_bits()))
-                .collect();
-            out.push_str(&format!("f {}\n", floats.join(" ")));
+            // Words are written straight into `out`: one string per word would
+            // take several times the memory of the image itself.
+            out.push_str("i ");
+            for (k, v) in s.ints.iter().enumerate() {
+                let sep = if k == 0 { "" } else { " " };
+                write!(out, "{sep}{v}").expect("writing to a String cannot fail");
+            }
+            out.push_str("\nf ");
+            for (k, v) in s.floats.iter().enumerate() {
+                let sep = if k == 0 { "" } else { " " };
+                write!(out, "{sep}{:08x}", v.to_bits()).expect("writing to a String cannot fail");
+            }
+            out.push('\n');
         }
         out.push_str(&format!("trace {}\n", self.trace.len()));
         for line in &self.trace {

@@ -25,13 +25,14 @@
 //! * [`sim`] — the deterministic single-process cluster simulator that all algorithm
 //!   drivers share (compute is real, communication time comes from the cost model).
 //! * [`algorithms`] — training drivers: BSP, local SGD, FedAvg, SSP and SelSync.
-//! * [`threaded`] — a thread-per-worker SelSync/BSP driver over the real parameter
-//!   server and collectives of `selsync-comm` (used by integration tests).
+//! * [`threaded`] — a thread-per-worker SelSync/BSP driver: worker threads over one
+//!   in-process hub (the real parameter server and collectives of `selsync-comm`).
 //! * [`process`] — a process-per-worker SelSync/BSP driver over the socket transport:
 //!   hub and worker entry points the `scenario_cluster` orchestrator spawns, with
-//!   per-process trace shards that merge into the canonical event log.
+//!   per-process trace shards that merge into the canonical event log. Both real
+//!   backends run one worker round loop against one hub implementation.
 //! * [`resume`] — cross-backend checkpoint translation: resume a simulator
-//!   checkpoint on the threaded driver and vice versa.
+//!   checkpoint on a real backend and vice versa.
 //! * [`tracing`] — shared emission helpers for the deterministic run-trace layer
 //!   (`selsync-tracelog`): both SelSync drivers log the same canonical event stream.
 //!
@@ -55,6 +56,7 @@ pub mod algorithms;
 pub mod checkpoint;
 pub mod conditions;
 pub mod config;
+mod hub;
 pub mod policy;
 pub mod process;
 pub mod report;
@@ -63,6 +65,7 @@ pub mod sim;
 pub mod threaded;
 pub mod tracing;
 pub mod tracker;
+mod worker;
 
 pub use aggregation::AggregationMode;
 pub use checkpoint::Checkpoint;

@@ -10,27 +10,26 @@
 //! collects each one's trace shard and merges them with
 //! [`selsync_tracelog::EventLog::merge`].
 //!
-//! **Parity contract.** The worker loop mirrors [`crate::threaded`]'s worker
-//! closure operation for operation — the only difference is *where* the shared
-//! state lives. Every shared-state touch becomes either
+//! **One loop, one hub.** A worker process runs the same round loop as a
+//! [`crate::threaded`] worker thread (`crate::worker`), and the hub process
+//! serves the same hub the threaded driver shares in memory (`crate::hub`).
+//! This module is only the carrier between them. Every shared-state touch
+//! becomes either
 //!
-//! * a control-plane envelope on the [`MessageLayer`] riding the
-//!   [`SocketTransport`](selsync_comm::SocketTransport) (the hub echoes frames
-//!   verbatim, so retry/dedupe/eviction semantics — and the
+//! * a control-plane envelope on the [`MessageLayer`](selsync_comm::MessageLayer)
+//!   riding the [`SocketTransport`](selsync_comm::SocketTransport) (the hub echoes
+//!   frames verbatim, so retry/dedupe/eviction semantics — and the
 //!   [`crate::config::TrainConfig::comm_faults`] weather composed *over* the
 //!   socket — are bit-identical to the in-memory transports), or
-//! * a blocking RPC ([`selsync_comm::HubClient`]) into the hub's
-//!   [`RpcService`], which calls the very same `ParameterServer` /
-//!   `Collective` / `SignalBoard` methods the threaded driver calls in-process.
+//! * a blocking RPC ([`selsync_comm::HubClient`]) that the hub's
+//!   [`RpcService`] dispatches to the very call an in-process worker makes.
 //!
 //! Worker-order folds, round-keyed rendezvous and the board's round-ordered
 //! observation stream are all hub-side, so the multi-process cluster's
 //! parameter stream, synchronization schedule and canonical event log are
-//! byte-identical to the threaded driver's — and therefore to the simulator's,
-//! on every schedule the threaded parity contract covers (crash/rejoin under
-//! scheduled rejoin pulls, `[comm_faults]` weather, PS brownouts). The
-//! `tests/process_parity.rs` suite pins merged-trace byte-identity against the
-//! simulator across worker counts.
+//! byte-identical to the threaded driver's — and therefore to the simulator's.
+//! The `tests/process_parity.rs` suite pins merged-trace byte-identity against
+//! the simulator across worker counts.
 //!
 //! Each process records its own trace shard: the hub owns the header and the
 //! policy's regime switches, the lowest-ranked present worker owns a round's
@@ -38,16 +37,13 @@
 //! events — every canonical event is emitted by exactly one process, so the
 //! sorted concatenation of shards is the single-process log.
 //!
-//! **Durable checkpoints.** `[checkpoint]` runs ride a hub-coordinated
-//! quiescent-point protocol: at every due round each live worker ships its
-//! recovery section and trace-shard prefix to the hub as an Rpc deposit
-//! (`op::CKPT_DEPOSIT`) and parks; once every deposit is in, the hub
-//! assembles the threaded driver's exact image layout (PS global + snapshot
-//! ring, per-worker sections, board policy state, merged trace prefix), writes
-//! it under the configured `keep` rotation, and releases the cluster. The
-//! image relabels freely across backends through [`crate::resume`], so a
-//! cluster run can resume a simulator or threaded checkpoint — and vice
-//! versa — reproducing the uninterrupted run byte for byte.
+//! **Durable checkpoints.** At every due round each live worker ships its
+//! recovery section and trace-shard prefix to the hub as one RPC deposit
+//! (`op::CKPT_DEPOSIT`) and parks; once every deposit is in, the hub writes the
+//! image — the threaded driver's layout, tagged `"process"` — and releases the
+//! cluster. Either real backend resumes either tag, and [`crate::resume`]
+//! translates to and from the simulator's layout, so a run checkpointed on one
+//! backend resumes on any other byte for byte.
 //!
 //! **Worker death.** A connection that terminates after identification —
 //! clean EOF or broken pipe alike — is mapped by the hub to a deterministic
@@ -61,32 +57,20 @@
 //! worker, and a death racing an in-flight checkpoint (that image is voided,
 //! not written).
 //!
-//! Still unsupported — reported as a structured [`UnsupportedConfig`] from
-//! [`ensure_supported`] so orchestrators print a one-line diagnosis instead of
-//! surfacing an opaque child panic: algorithms other than SelSync/BSP, and
-//! data-injection over non-IID shards (the injection draw consumes the
-//! simulator's cluster RNG, which has no cross-process counterpart). Non-IID
-//! label shards themselves run natively via [`sim::worker_traversal`].
+//! Unsupported configurations are reported as a structured
+//! [`UnsupportedConfig`] from [`ensure_supported`], so orchestrators print a
+//! one-line diagnosis instead of surfacing an opaque child panic.
 
-use crate::checkpoint::{self, Checkpoint, Section};
-use crate::conditions::{ClusterConditions, FaultEvent};
-use crate::config::{AlgorithmSpec, CheckpointSpec, RejoinPull, TrainConfig};
-use crate::policy::{PolicySpec, PolicyState, RoundSignal, SyncPolicy};
-use crate::sim;
-use crate::threaded::{worker_section, SignalBoard, ThreadedWorkerReport};
-use crate::tracker::{GradStatistic, GradientTracker, TrackerState};
-use parking_lot::{Condvar, Mutex};
-use selsync_comm::cluster::{make_handles, ClusterHandles};
-use selsync_comm::faults::CommFaultSchedule;
-use selsync_comm::ps::DEFAULT_SNAPSHOT_DEPTH;
+use crate::checkpoint::{config_fingerprint, Checkpoint, Section};
+use crate::config::{AlgorithmSpec, TrainConfig};
+use crate::hub::HubService;
+use crate::policy::{PolicySpec, RoundSignal};
+use crate::threaded::ThreadedWorkerReport;
+use crate::worker::{message_layer, run_worker, ClusterPort, WorkerSetup};
 use selsync_comm::socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn};
-use selsync_comm::wire::MsgKind;
-use selsync_comm::{MessageLayer, PsExchangeError, ScalarOp};
-use selsync_metrics::lssr::LssrCounter;
+use selsync_comm::ScalarOp;
 use selsync_nn::model::PaperModel;
-use selsync_nn::OptimizerState;
-use selsync_tracelog::{codec, Event, EventLog, PullKind};
-use std::collections::HashMap;
+use selsync_tracelog::{codec, TraceSink};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -150,64 +134,6 @@ fn read_f32(bytes: &[u8], at: usize) -> f32 {
     f32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
-/// The hub side of the RPC surface: dispatches worker requests to the very same
-/// parameter-server / collective / signal-board methods the threaded driver
-/// calls in-process. Blocking rendezvous ops block the calling connection's
-/// hub thread, which is exactly the rendezvous behaviour the threaded workers
-/// get from blocking in-process calls.
-struct HubService {
-    cfg: TrainConfig,
-    handles: ClusterHandles,
-    board: SignalBoard,
-    /// The *base* effective membership schedule (scheduled crashes plus
-    /// compiled comm-fault evictions); runtime death evictions layer on top in
-    /// the ledger, never mutating this.
-    conditions: ClusterConditions,
-    /// The first round this (possibly resumed) run executes; death evictions
-    /// are never scheduled before it.
-    first_round: usize,
-    ckpt: Option<CheckpointSpec>,
-    /// The image this run resumed from — protected from retention pruning.
-    protect: Option<usize>,
-    ledger: Mutex<Ledger>,
-    cv: Condvar,
-}
-
-/// The hub's runtime membership + checkpoint bookkeeping, all under one lock
-/// so a death atomically updates the barrier, the eviction list and any
-/// in-flight checkpoint gather.
-struct Ledger {
-    /// Per worker: the newest round announced through `op::ROUND_BEGIN`.
-    last_begun: Vec<Option<usize>>,
-    /// Per worker: whether its connection has terminated.
-    dead: Vec<bool>,
-    /// Death evictions in creation order: `(worker, first-absent round)`.
-    evictions: Vec<(usize, usize)>,
-    /// Per released round: the eviction count frozen at its barrier release —
-    /// every `ROUND_BEGIN` reply for that round carries the identical prefix,
-    /// keeping the folded membership a pure function of the round.
-    released: HashMap<usize, usize>,
-    /// The round currently gathering checkpoint deposits, if any.
-    ckpt_round: Option<usize>,
-    ckpt_deposits: Vec<Option<Checkpoint>>,
-    /// The newest round whose checkpoint gate has released (written or voided).
-    ckpt_released: Option<usize>,
-}
-
-impl Ledger {
-    fn new(n: usize) -> Self {
-        Ledger {
-            last_begun: vec![None; n],
-            dead: vec![false; n],
-            evictions: Vec::new(),
-            released: HashMap::new(),
-            ckpt_round: None,
-            ckpt_deposits: (0..n).map(|_| None).collect(),
-            ckpt_released: None,
-        }
-    }
-}
-
 /// Reply wire shape of `op::ROUND_BEGIN`: count, then `(worker, round)` pairs.
 fn encode_evictions(evictions: &[(usize, usize)]) -> Vec<u8> {
     let mut out = (evictions.len() as u32).to_le_bytes().to_vec();
@@ -218,164 +144,10 @@ fn encode_evictions(evictions: &[(usize, usize)]) -> Vec<u8> {
     out
 }
 
-impl HubService {
-    /// The round-boundary membership barrier. A present worker announces round
-    /// `it` before any other traffic of the round; the call blocks until every
-    /// base-present worker of the round has either announced it or died, then
-    /// returns the eviction prefix frozen at the barrier's release — identical
-    /// for every present worker of the round.
-    fn round_begin(&self, worker: usize, it: usize) -> Vec<u8> {
-        let n = self.cfg.workers;
-        let mut s = self.ledger.lock();
-        assert!(!s.dead[worker], "dead worker {worker} announced round {it}");
-        assert!(
-            s.last_begun[worker].is_none_or(|r| r < it),
-            "worker {worker} announced round {it} out of order"
-        );
-        s.last_begun[worker] = Some(it);
-        self.cv.notify_all();
-        loop {
-            // Released rounds stay on file: a parked waiter always finds its
-            // round here first, even after faster workers advanced past it.
-            if let Some(&frozen) = s.released.get(&it) {
-                return encode_evictions(&s.evictions[..frozen]);
-            }
-            let complete = self
-                .conditions
-                .present_workers(n, it)
-                .into_iter()
-                .all(|w| s.dead[w] || s.last_begun[w].is_some_and(|r| r >= it));
-            if complete {
-                let frozen = s.evictions.len();
-                s.released.insert(it, frozen);
-                self.cv.notify_all();
-                return encode_evictions(&s.evictions[..frozen]);
-            }
-            self.cv.wait(&mut s);
-        }
-    }
-
-    /// Gather one worker's checkpoint deposit for round `it` and park the
-    /// calling connection until the round's image is written (or voided by a
-    /// death) — the worker resumes only past the quiescent point.
-    fn ckpt_deposit(&self, worker: usize, it: usize, image: &str) {
-        let mini = Checkpoint::decode(image).unwrap_or_else(|e| {
-            panic!("worker {worker}'s checkpoint deposit fails to decode: {e}")
-        });
-        assert_eq!(mini.backend, "deposit", "worker {worker}'s deposit tag");
-        assert_eq!(mini.round, it, "worker {worker}'s deposit round");
-        let mut s = self.ledger.lock();
-        assert!(
-            s.ckpt_round.is_none_or(|r| r == it),
-            "checkpoint rounds interleaved: deposit for {it} while gathering {:?}",
-            s.ckpt_round
-        );
-        s.ckpt_round = Some(it);
-        assert!(
-            s.ckpt_deposits[worker].is_none(),
-            "worker {worker} deposited twice for round {it}"
-        );
-        s.ckpt_deposits[worker] = Some(mini);
-        let mut s = self.finish_checkpoint_if_complete(s);
-        while s.ckpt_released.is_none_or(|r| r < it) {
-            self.cv.wait(&mut s);
-        }
-    }
-
-    /// If every live worker has deposited for the gathering round, write the
-    /// image and release the gate — the process analogue of the threaded
-    /// gate's writer leg, run by whichever connection completed the set. A
-    /// worker death voids the in-flight image instead (the cluster state is no
-    /// longer the uninterrupted run's) but still releases the survivors.
-    fn finish_checkpoint_if_complete<'a>(
-        &'a self,
-        mut s: parking_lot::MutexGuard<'a, Ledger>,
-    ) -> parking_lot::MutexGuard<'a, Ledger> {
-        let Some(it) = s.ckpt_round else {
-            return s;
-        };
-        let n = self.cfg.workers;
-        if !(0..n).all(|w| s.dead[w] || s.ckpt_deposits[w].is_some()) {
-            return s;
-        }
-        let deposits: Vec<Option<Checkpoint>> =
-            s.ckpt_deposits.iter_mut().map(|d| d.take()).collect();
-        s.ckpt_round = None;
-        let any_dead = s.dead.iter().any(|&d| d);
-        drop(s);
-        if any_dead {
-            eprintln!(
-                "checkpoint after round {it} voided: a worker died mid-run, so the cluster \
-                 state no longer matches the uninterrupted run"
-            );
-        } else {
-            let deposits: Vec<Checkpoint> = deposits
-                .into_iter()
-                .map(|d| d.expect("no worker is dead, so every slot deposited"))
-                .collect();
-            self.write_cluster_checkpoint(it, &deposits);
-        }
-        let mut s = self.ledger.lock();
-        s.ckpt_released = Some(it);
-        self.cv.notify_all();
-        s
-    }
-
-    /// Assemble and write the full recovery image after round `it` — the exact
-    /// layout the threaded driver's `write_threaded_checkpoint` produces, so
-    /// the [`crate::resume`] relabel translators move images freely between
-    /// the two drivers. Runs at the gate's quiescent point: every worker
-    /// parked in its deposit RPC, the round's signals observed, every shard's
-    /// events through `it` shipped.
-    fn write_cluster_checkpoint(&self, it: usize, deposits: &[Checkpoint]) {
-        let ck = self
-            .ckpt
-            .as_ref()
-            .expect("a deposit implies a checkpoint spec");
-        let fingerprint = checkpoint::config_fingerprint(&self.cfg);
-        let mut image = Checkpoint::new("process", fingerprint, it);
-        image.add_section(crate::resume::ps_section(&self.handles.ps.export_state()));
-        let policy_state = self.board.export_policy_state();
-        let mut section = Section::new("board");
-        section.push_ints(&policy_state.ints);
-        section.push_f32s(&policy_state.floats);
-        image.add_section(section);
-        for (w, mini) in deposits.iter().enumerate() {
-            assert_eq!(
-                mini.fingerprint, fingerprint,
-                "worker {w}'s deposit belongs to a different configuration"
-            );
-            let section = mini
-                .section(&format!("worker{w}"))
-                .unwrap_or_else(|| panic!("worker {w}'s deposit is missing its section"));
-            image.add_section(section.clone());
-        }
-        if self.cfg.trace.is_enabled() {
-            // The image's trace prefix is the canonical merge of every
-            // process's shard so far: the hub's (header + regime switches)
-            // plus each worker's deposited events.
-            let mut shards = vec![self.cfg.trace.snapshot_log()];
-            for mini in deposits {
-                let events = mini
-                    .trace
-                    .iter()
-                    .map(|line| codec::decode_event(line).expect("deposited trace line decodes"))
-                    .collect();
-                shards.push(EventLog { events });
-            }
-            let merged = EventLog::merge(shards);
-            image.trace = merged.events.iter().map(codec::encode_event).collect();
-        }
-        let path = ck.path_for(it);
-        image
-            .write_file(&path)
-            .unwrap_or_else(|err| panic!("failed to write checkpoint {}: {err}", path.display()));
-        // Retention runs only after the newer image is durably on disk, and
-        // never removes the image a resume started from.
-        ck.prune(it, self.protect);
-    }
-}
-
+/// The hub side of the RPC surface: decodes each worker request into the call
+/// an in-process worker makes on the same [`HubService`]. Blocking rendezvous
+/// ops block the calling connection's hub thread, which is exactly the
+/// rendezvous behaviour worker threads get from blocking in-process calls.
 impl RpcService for HubService {
     fn handle(&self, worker: u32, round: u64, request: &[u8]) -> Vec<u8> {
         let worker = worker as usize;
@@ -456,46 +228,52 @@ impl RpcService for HubService {
                 self.board.observe(signal, next_round);
                 Vec::new()
             }
-            op::ROUND_BEGIN => self.round_begin(worker, read_u64(args, 0) as usize),
+            op::ROUND_BEGIN => {
+                encode_evictions(&self.round_begin(worker, read_u64(args, 0) as usize))
+            }
             op::CKPT_DEPOSIT => {
                 let it = read_u64(args, 0) as usize;
                 let image =
                     std::str::from_utf8(&args[8..]).expect("checkpoint deposit payload is UTF-8");
-                self.ckpt_deposit(worker, it, image);
+                let deposit = Checkpoint::decode(image).unwrap_or_else(|e| {
+                    panic!("worker {worker}'s checkpoint deposit fails to decode: {e}")
+                });
+                assert_eq!(deposit.backend, "deposit", "worker {worker}'s deposit tag");
+                assert_eq!(deposit.round, it, "worker {worker}'s deposit round");
+                assert_eq!(
+                    deposit.fingerprint, self.fingerprint,
+                    "worker {worker}'s deposit belongs to a different configuration"
+                );
+                let name = format!("worker{worker}");
+                let section = deposit
+                    .sections
+                    .into_iter()
+                    .find(|section| section.name == name)
+                    .unwrap_or_else(|| panic!("worker {worker}'s deposit is missing its section"));
+                let trace = deposit
+                    .trace
+                    .iter()
+                    .map(|line| codec::decode_event(line).expect("deposited trace line decodes"))
+                    .collect();
+                self.deposit(worker, it, section, trace);
                 Vec::new()
             }
             other => panic!("unknown rpc op {other} from worker {worker}"),
         }
     }
 
-    /// A worker's connection terminated — cleanly or not. Record the death and
-    /// schedule a deterministic eviction at the first round boundary the base
-    /// schedule still expects it, so the surviving cluster folds the loss
-    /// exactly like a scheduled no-rejoin crash. A clean run reaches this
-    /// after the worker's last round, where the search finds no remaining
-    /// present round and schedules nothing.
     fn connection_closed(&self, worker: u32) {
-        let worker = worker as usize;
-        let mut s = self.ledger.lock();
-        if s.dead[worker] {
-            return;
-        }
-        s.dead[worker] = true;
-        let from = s.last_begun[worker].map_or(self.first_round, |r| r + 1);
-        if let Some(round) =
-            (from..self.cfg.iterations).find(|&r| self.conditions.is_present(worker, r))
-        {
-            s.evictions.push((worker, round));
-        }
-        self.cv.notify_all();
-        let _s = self.finish_checkpoint_if_complete(s);
+        self.worker_died(worker as usize);
     }
 }
 
-/// Worker-side view of the hub's shared state: each method is one blocking RPC
-/// whose name and argument shape matches the in-process call it stands in for.
+/// Worker-side port into the hub process: each op is one blocking RPC whose
+/// argument shape matches the in-process call it stands in for.
 struct RemoteCluster {
     client: HubClient,
+    fingerprint: u64,
+    /// This worker's trace shard, shipped with each checkpoint deposit.
+    trace: TraceSink,
 }
 
 impl RemoteCluster {
@@ -505,104 +283,68 @@ impl RemoteCluster {
         payload.extend_from_slice(args);
         self.client.rpc(round, payload)
     }
+}
 
+impl ClusterPort for RemoteCluster {
     fn pull(&self) -> Vec<f32> {
         bytes_to_f32s(&self.request(u64::MAX, op::PULL, &[]))
     }
 
-    fn scheduled_global_before(&self, round: u64) -> Vec<f32> {
-        bytes_to_f32s(&self.request(round, op::SCHED_GLOBAL_BEFORE, &[]))
+    fn scheduled_global_before(&self, round: usize) -> Vec<f32> {
+        bytes_to_f32s(&self.request(round as u64, op::SCHED_GLOBAL_BEFORE, &[]))
     }
 
-    fn scheduled_round_before(&self, round: u64) -> Option<u64> {
-        let reply = self.request(round, op::SCHED_ROUND_BEFORE, &[]);
-        (reply[0] != 0).then(|| read_u64(&reply, 1))
+    fn scheduled_round_before(&self, round: usize) -> Option<usize> {
+        let reply = self.request(round as u64, op::SCHED_ROUND_BEFORE, &[]);
+        (reply[0] != 0).then(|| read_u64(&reply, 1) as usize)
     }
 
-    fn sync_round_elastic(&self, round: u64, params: &[f32], expected: usize) -> Vec<f32> {
+    fn sync_round(&self, round: usize, params: &[f32], expected: usize) -> Vec<f32> {
         let mut args = (expected as u32).to_le_bytes().to_vec();
         args.extend(f32s_to_bytes(params));
-        bytes_to_f32s(&self.request(round, op::SYNC_ROUND, &args))
+        bytes_to_f32s(&self.request(round as u64, op::SYNC_ROUND, &args))
     }
 
-    fn allgather_flags_among(&self, round: u64, flag: bool, expected: usize) -> Vec<bool> {
+    fn allgather_flags(&self, round: usize, flag: bool, expected: usize) -> Vec<bool> {
         let mut args = vec![flag as u8];
         args.extend((expected as u32).to_le_bytes());
-        self.request(round, op::ALLGATHER_FLAGS, &args)
+        self.request(round as u64, op::ALLGATHER_FLAGS, &args)
             .into_iter()
             .map(|b| b != 0)
             .collect()
     }
 
-    fn allreduce_scalar_among(
-        &self,
-        round: u64,
-        value: f32,
-        expected: usize,
-        op_: ScalarOp,
-    ) -> f32 {
+    fn allreduce_scalar(&self, round: usize, value: f32, expected: usize, op_: ScalarOp) -> f32 {
         let mut args = vec![scalar_op_tag(op_)];
         args.extend((expected as u32).to_le_bytes());
         args.extend(value.to_le_bytes());
-        read_f32(&self.request(round, op::ALLREDUCE_SCALAR, &args), 0)
+        read_f32(&self.request(round as u64, op::ALLREDUCE_SCALAR, &args), 0)
     }
 
-    fn allreduce_vec_among(
+    fn allreduce_vec(
         &self,
-        round: u64,
-        values: &[f32],
+        round: usize,
+        values: Vec<f32>,
         expected: usize,
         op_: ScalarOp,
     ) -> Vec<f32> {
         let mut args = vec![scalar_op_tag(op_)];
         args.extend((expected as u32).to_le_bytes());
-        args.extend(f32s_to_bytes(values));
-        bytes_to_f32s(&self.request(round, op::ALLREDUCE_VEC, &args))
+        args.extend(f32s_to_bytes(&values));
+        bytes_to_f32s(&self.request(round as u64, op::ALLREDUCE_VEC, &args))
     }
 
-    fn wait_caught_up(&self, iteration: usize) {
-        self.request(
-            iteration as u64,
-            op::BOARD_WAIT_CAUGHT_UP,
-            &(iteration as u64).to_le_bytes(),
-        );
+    fn wait_caught_up(&self, round: usize) {
+        let round = round as u64;
+        self.request(round, op::BOARD_WAIT_CAUGHT_UP, &round.to_le_bytes());
     }
 
-    fn delta_for(&self, iteration: usize) -> f32 {
+    fn delta_for(&self, round: usize) -> f32 {
+        let round = round as u64;
         read_f32(
-            &self.request(
-                iteration as u64,
-                op::BOARD_DELTA_FOR,
-                &(iteration as u64).to_le_bytes(),
-            ),
+            &self.request(round, op::BOARD_DELTA_FOR, &round.to_le_bytes()),
             0,
         )
-    }
-
-    /// Announce round `it` at its boundary and block until the hub releases
-    /// the round's barrier. Returns the full frozen eviction prefix as
-    /// `(worker, first-absent round)` pairs; the caller folds the entries it
-    /// has not seen yet.
-    fn round_begin(&self, it: usize) -> Vec<(usize, usize)> {
-        let reply = self.request(it as u64, op::ROUND_BEGIN, &(it as u64).to_le_bytes());
-        let count = read_u32(&reply, 0) as usize;
-        (0..count)
-            .map(|i| {
-                let at = 4 + i * 12;
-                (
-                    read_u32(&reply, at) as usize,
-                    read_u64(&reply, at + 4) as usize,
-                )
-            })
-            .collect()
-    }
-
-    /// Ship this worker's checkpoint deposit for round `it` and block until
-    /// the hub has written (or voided) the round's image.
-    fn ckpt_deposit(&self, it: usize, image: &str) {
-        let mut args = (it as u64).to_le_bytes().to_vec();
-        args.extend_from_slice(image.as_bytes());
-        self.request(it as u64, op::CKPT_DEPOSIT, &args);
     }
 
     fn observe(&self, signal: RoundSignal, next_round: usize) {
@@ -615,6 +357,35 @@ impl RemoteCluster {
         args.extend((next_round as u64).to_le_bytes());
         self.request(signal.iteration as u64, op::BOARD_OBSERVE, &args);
     }
+
+    fn round_begin(&self, round: usize) -> Vec<(usize, usize)> {
+        let round = round as u64;
+        let reply = self.request(round, op::ROUND_BEGIN, &round.to_le_bytes());
+        let count = read_u32(&reply, 0) as usize;
+        (0..count)
+            .map(|i| {
+                let at = 4 + i * 12;
+                (
+                    read_u32(&reply, at) as usize,
+                    read_u64(&reply, at + 4) as usize,
+                )
+            })
+            .collect()
+    }
+
+    /// The deposit crosses the socket as an encoded `"deposit"` image carrying
+    /// the section and this worker's trace shard so far.
+    fn deposit(&self, round: usize, section: Section) {
+        let mut deposit = Checkpoint::new("deposit", self.fingerprint, round);
+        deposit.add_section(section);
+        if self.trace.is_enabled() {
+            let log = self.trace.snapshot_log();
+            deposit.trace = log.events.iter().map(codec::encode_event).collect();
+        }
+        let mut args = (round as u64).to_le_bytes().to_vec();
+        args.extend_from_slice(deposit.encode().as_bytes());
+        self.request(round as u64, op::CKPT_DEPOSIT, &args);
+    }
 }
 
 /// A configuration the process backend cannot run, naming the offending
@@ -624,7 +395,7 @@ impl RemoteCluster {
 pub struct UnsupportedConfig {
     /// The scenario key (or key path) that selects the unsupported feature.
     pub key: &'static str,
-    /// Why the process backend rejects it.
+    /// Why the real backends reject it.
     pub message: String,
 }
 
@@ -640,10 +411,11 @@ impl std::fmt::Display for UnsupportedConfig {
 
 impl std::error::Error for UnsupportedConfig {}
 
-/// The configuration envelope the process backend supports — the threaded
-/// driver's. The only genuinely unsupported shapes left are non-SelSync/BSP
-/// algorithms and data-injection over non-IID shards (whose injection draws
-/// ride the simulator's cluster RNG).
+/// The configuration envelope both real backends support; building their
+/// shared hub rejects everything else through this check. The unsupported
+/// shapes are non-SelSync/BSP algorithms and data-injection over non-IID
+/// shards (whose injection draws ride the simulator's cluster RNG); both stay
+/// simulator-only.
 pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), UnsupportedConfig> {
     let delta = match cfg.algorithm {
         AlgorithmSpec::SelSync { delta, .. } => delta,
@@ -652,7 +424,8 @@ pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), Unsuppor
             return Err(UnsupportedConfig {
                 key: "scenario.algorithm",
                 message: format!(
-                    "the process backend runs SelSync and BSP only, not {}",
+                    "the threaded and process backends run SelSync and BSP only; {} is \
+                     simulator-only",
                     cfg.algorithm.name()
                 ),
             })
@@ -687,10 +460,6 @@ pub fn ensure_supported(cfg: &TrainConfig) -> Result<(f32, PolicySpec), Unsuppor
     Ok((delta, spec))
 }
 
-fn check_supported(cfg: &TrainConfig) -> (f32, PolicySpec) {
-    ensure_supported(cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Run the hub process: bind `addr`, serve one connection per worker until all
 /// of them hang up, and return the hub's trace shard (the run header plus the
 /// shared policy's regime-switch events) in encoded form.
@@ -698,99 +467,19 @@ pub fn run_process_hub(cfg: &TrainConfig, addr: &SocketAddrSpec) -> String {
     run_process_hub_with(cfg, addr, None)
 }
 
-/// [`run_process_hub`] with an optional recovery image to resume from.
-/// Accepts images from any backend — `"sim"` and `"threaded"` ones run
-/// through the [`crate::resume`] translators first.
+/// [`run_process_hub`] with an optional recovery image to resume from — any
+/// backend's (see [`crate::resume`]). A resumed hub's shard carries the image's
+/// merged trace prefix; workers re-emit nothing before the resume round.
 pub fn run_process_hub_with(
     cfg: &TrainConfig,
     addr: &SocketAddrSpec,
     resume: Option<&Checkpoint>,
 ) -> String {
-    let (_delta, spec) = check_supported(cfg);
-    let n = cfg.workers;
-    let translated;
-    let resume = match resume {
-        Some(ckpt) if ckpt.backend == "sim" => {
-            translated = crate::resume::sim_to_process(cfg, ckpt);
-            Some(&translated)
-        }
-        Some(ckpt) if ckpt.backend == "threaded" => {
-            translated = crate::resume::threaded_to_process(ckpt);
-            Some(&translated)
-        }
-        other => other,
-    };
-    if let Some(ckpt) = resume {
-        assert_eq!(ckpt.backend, "process", "resume image backend");
-        assert_eq!(
-            ckpt.fingerprint,
-            checkpoint::config_fingerprint(cfg),
-            "resume image belongs to a different configuration"
-        );
-    }
-    let start = resume.map_or(0, |ckpt| ckpt.round + 1);
-    if let Some(ckpt) = resume {
-        // The hub shard carries the image's merged trace prefix; workers
-        // re-emit nothing before `start`, so the merged result is exactly
-        // prefix + fresh suffix.
-        if cfg.trace.is_enabled() {
-            let events = ckpt
-                .trace
-                .iter()
-                .map(|line| codec::decode_event(line).expect("checkpointed trace line decodes"))
-                .collect();
-            cfg.trace.preload(events);
-        }
-    } else {
-        crate::tracing::emit_header(
-            &cfg.trace,
-            cfg,
-            &crate::algorithms::selsync::algorithm_label(cfg),
-            &spec.label(),
-        );
-    }
     let proto = PaperModel::build(cfg.model, cfg.seed);
-    let handles = make_handles(n, proto.params_flat());
-    if cfg.rejoin_pull == RejoinPull::Scheduled {
-        handles
-            .ps
-            .enable_scheduled_snapshots(DEFAULT_SNAPSHOT_DEPTH);
-    }
-    let mut policy = spec.build();
-    if let Some(ckpt) = resume {
-        handles
-            .ps
-            .restore_state(&crate::resume::read_ps_state(ckpt));
-        let mut reader = ckpt.read_section("board");
-        let ints = reader.ints();
-        let floats = reader.f32s();
-        reader.finish();
-        policy.import_state(&PolicyState { ints, floats });
-    }
-    let conditions = cfg.effective_conditions();
-    let board = SignalBoard::new(
-        policy,
-        conditions.next_active_iteration(n, start, cfg.iterations),
-        cfg.trace.clone(),
-    );
-    let ckpt_spec = cfg.checkpoint.clone();
-    if let Some(ck) = &ckpt_spec {
-        ck.validate().expect("invalid checkpoint configuration");
-    }
+    let service = HubService::new(cfg, &proto, resume, "process");
     let server = HubServer::bind(addr).unwrap_or_else(|e| panic!("hub failed to bind {addr}: {e}"));
-    let service = HubService {
-        cfg: cfg.clone(),
-        handles,
-        board,
-        conditions,
-        first_round: start,
-        ckpt: ckpt_spec,
-        protect: resume.map(|ckpt| ckpt.round),
-        ledger: Mutex::new(Ledger::new(n)),
-        cv: Condvar::new(),
-    };
     server
-        .serve(n, Arc::new(service))
+        .serve(cfg.workers, Arc::new(service))
         .unwrap_or_else(|e| panic!("hub serve failed: {e}"));
     cfg.trace.take_log().encode()
 }
@@ -798,7 +487,7 @@ pub fn run_process_hub_with(
 /// Per-worker knobs for [`run_process_worker_with`] beyond the shared config.
 #[derive(Default)]
 pub struct WorkerOptions<'a> {
-    /// Recovery image to resume from (any backend; translated like the hub's).
+    /// Recovery image to resume from (any backend, like the hub's).
     pub resume: Option<&'a Checkpoint>,
     /// Die abruptly at the top of this round — no announce, no farewell — to
     /// exercise the hub's worker-death eviction path deterministically.
@@ -806,9 +495,9 @@ pub struct WorkerOptions<'a> {
 }
 
 /// Run one worker process: connect to the hub at `addr` and execute worker
-/// `worker`'s rounds — the exact operation sequence of the threaded driver's
-/// worker closure, with shared-state touches carried by the socket. Returns
-/// the worker's report and its trace shard in encoded form.
+/// `worker`'s rounds — the round loop of a threaded worker, with shared-state
+/// touches carried by the socket. Returns the worker's report and its trace
+/// shard in encoded form.
 pub fn run_process_worker(
     cfg: &TrainConfig,
     worker: usize,
@@ -817,464 +506,39 @@ pub fn run_process_worker(
     run_process_worker_with(cfg, worker, addr, WorkerOptions::default())
 }
 
-/// [`run_process_worker`] with resume / kill options.
+/// [`run_process_worker`] with resume / kill options. A killed worker's report
+/// never reaches an orchestrator (the process is gone); its distance is NaN.
 pub fn run_process_worker_with(
     cfg: &TrainConfig,
     worker: usize,
     addr: &SocketAddrSpec,
     opts: WorkerOptions<'_>,
 ) -> (ThreadedWorkerReport, String) {
-    let (_delta, spec) = check_supported(cfg);
-    let n = cfg.workers;
-    let exchange_signals = spec.consumes_round_signals();
-
-    let translated;
-    let resume = match opts.resume {
-        Some(ckpt) if ckpt.backend == "sim" => {
-            translated = crate::resume::sim_to_process(cfg, ckpt);
-            Some(&translated)
-        }
-        Some(ckpt) if ckpt.backend == "threaded" => {
-            translated = crate::resume::threaded_to_process(ckpt);
-            Some(&translated)
-        }
-        other => other,
-    };
-    if let Some(ckpt) = resume {
-        assert_eq!(ckpt.backend, "process", "resume image backend");
-        assert_eq!(
-            ckpt.fingerprint,
-            checkpoint::config_fingerprint(cfg),
-            "resume image belongs to a different configuration"
-        );
-    }
-    let start = resume.map_or(0, |ckpt| ckpt.round + 1);
-
-    let (train, _test) = sim::build_datasets(cfg);
-    let proto = PaperModel::build(cfg.model, cfg.seed);
-    let iid_order = sim::iid_sample_order(&train, &proto.task);
-    // Folded membership: starts as the compiled schedule and accrues the
-    // hub-announced death evictions, so every live worker derives the same
-    // round-keyed membership the reference run computes from a scheduled
-    // no-rejoin crash.
-    let mut conditions = cfg.effective_conditions();
-    let mut known_evictions = 0usize;
-    let evictions = cfg.comm_fault_evictions();
-
+    let setup = WorkerSetup::new(cfg, &PaperModel::build(cfg.model, cfg.seed));
+    let resume = opts
+        .resume
+        .map(|ckpt| crate::resume::cluster_image(cfg, ckpt));
     let conn = SocketConn::connect(addr, CONNECT_RETRY)
         .unwrap_or_else(|e| panic!("worker {worker} failed to connect to {addr}: {e}"));
     // The message layer rides the real socket: the hub echoes every non-RPC
     // frame verbatim, so retries, dedupe and evictions behave exactly as over
     // the in-memory transports — including with the fault decorator composed
     // over the socket.
-    let fault_schedule = cfg.comm_faults.map(CommFaultSchedule::new);
-    let layer = match fault_schedule {
-        Some(schedule) => MessageLayer::faulty_over(schedule, Box::new(conn.transport())),
-        None => MessageLayer::over(Box::new(conn.transport()), 1),
-    };
-    let ps_schedule = cfg.ps_fault_schedule();
-    let layer = match ps_schedule.clone() {
-        Some(schedule) => layer.with_ps_outages(schedule),
-        None => layer,
-    };
-    let hub = RemoteCluster {
+    let layer = message_layer(cfg, Box::new(conn.transport()));
+    let port = RemoteCluster {
         client: conn.client(worker as u32),
+        fingerprint: config_fingerprint(cfg),
+        trace: cfg.trace.clone(),
     };
-
-    let mut model = PaperModel::build(cfg.model, cfg.seed);
-    // Every worker starts from the global state on the PS (pullFromPS, Alg. 1 line 3).
-    let mut params = hub.pull();
-    model.set_params_flat(&params);
-    let traversal = sim::worker_traversal(cfg, &train, &iid_order, worker);
-    let mut cursor = 0usize;
-    let new_tracker = || {
-        GradientTracker::new(
-            GradStatistic::SqNorm,
-            (n as f32 / 100.0).clamp(0.01, 1.0),
-            cfg.ewma_window,
-        )
-    };
-    let mut tracker = new_tracker();
-    let mut optimizer = cfg.optimizer.build();
-    let mut counter = LssrCounter::new();
-    let mut sync_rounds: Vec<usize> = Vec::new();
-    let mut last_loss = 0.0f32;
-    let mut was_present = true;
-    let mut forwards_before = 0u64;
-    if let Some(ckpt) = resume {
-        // Durable per-worker state comes from the checkpoint; the schedule-pure
-        // cursors (data traversal, forward counter, presence edge) are recomputed
-        // from the same deterministic schedule the uninterrupted run walked.
-        let mut reader = ckpt.read_section(&format!("worker{worker}"));
-        params = reader.f32s();
-        let t = reader.int();
-        let buffer_count = reader.usize();
-        let buffers = (0..buffer_count).map(|_| reader.f32s()).collect();
-        optimizer.load_state(&OptimizerState { t, buffers });
-        let tracker_state = TrackerState {
-            ewma_history: reader.f32s(),
-            ewma_smoothed: reader.opt_f32(),
-            previous_smoothed: reader.opt_f32(),
-            last_delta: reader.f32(),
-            max_delta: reader.f32(),
-            steps: reader.int(),
-        };
-        tracker.restore_state(&tracker_state);
-        counter.sync_steps = reader.int();
-        counter.local_steps = reader.int();
-        sync_rounds = reader.ints().iter().map(|&r| r as usize).collect();
-        last_loss = reader.f32();
-        reader.finish();
-        let done_rounds = (0..start)
-            .filter(|&r| conditions.is_present(worker, r))
-            .count();
-        cursor = (done_rounds * cfg.batch_size) % traversal.len();
-        forwards_before = (0..start)
-            .map(|r| conditions.present_workers(n, r).len() as u64)
-            .sum();
-        was_present = conditions.is_present(worker, start - 1);
-    }
-    let mut indices = Vec::with_capacity(cfg.batch_size);
-    let exchange = |round: usize, kind: MsgKind, payload: &[u8]| -> u32 {
-        layer
-            .exchange(worker, round as u64, kind, payload)
-            .unwrap_or_else(|e| {
-                panic!("present worker {worker} failed a comm op at round {round}: {e}")
-            })
-            .attempts
-    };
-
-    let fingerprint = checkpoint::config_fingerprint(cfg);
-    let ckpt_spec = cfg.checkpoint.clone();
-    if let Some(ck) = &ckpt_spec {
-        ck.validate().expect("invalid checkpoint configuration");
-    }
-    // Checkpoint-gate participation at the end of round `it`: every worker —
-    // present or absent — ships its recovery section (and its trace shard so
-    // far) as a deposit RPC when a checkpoint is due, and parks inside that
-    // RPC until the hub has written the image. Returns whether the run halts
-    // after this round (the simulated kill switch).
-    let end_of_round = |it: usize,
-                        present: &[usize],
-                        params: &[f32],
-                        optimizer: &dyn selsync_nn::Optimizer,
-                        tracker: &GradientTracker,
-                        counter: &LssrCounter,
-                        sync_rounds: &[usize],
-                        last_loss: f32|
-     -> bool {
-        let Some(ck) = &ckpt_spec else {
-            return false;
-        };
-        // The simulator writes nothing at whole-cluster-absent rounds; neither
-        // does this backend (and the kill switch cannot fire there).
-        if present.is_empty() {
-            return false;
-        }
-        if ck.due(it) || ck.halt_after == Some(it) {
-            let mut deposit = Checkpoint::new("deposit", fingerprint, it);
-            deposit.add_section(worker_section(
-                worker,
-                params,
-                optimizer,
-                tracker,
-                counter,
-                sync_rounds,
-                last_loss,
-            ));
-            if cfg.trace.is_enabled() {
-                let log = cfg.trace.snapshot_log();
-                deposit.trace = log.events.iter().map(codec::encode_event).collect();
-            }
-            hub.ckpt_deposit(it, &deposit.encode());
-        }
-        ck.halt_after == Some(it)
-    };
-
-    let mut killed = false;
-    for it in start..cfg.iterations {
-        if opts.kill_at == Some(it) {
-            // Abrupt death: no announce, no farewell — the connection drops at
-            // a frame boundary and the hub maps it to an eviction.
-            killed = true;
-            break;
-        }
-        if conditions.is_present(worker, it) {
-            // Round-boundary barrier: announce the round, learn the frozen
-            // eviction prefix, and fold any entry not seen yet. The recompute
-            // keeps the forward counter a pure function of the (now extended)
-            // fault schedule — evictions can land at rounds this worker sat
-            // out, where it never saw a barrier.
-            let evs = hub.round_begin(it);
-            if evs.len() > known_evictions {
-                for &(w, r) in &evs[known_evictions..] {
-                    conditions = conditions.with_fault(FaultEvent::Crash {
-                        worker: w,
-                        start: r,
-                        rejoin: None,
-                    });
-                }
-                known_evictions = evs.len();
-                forwards_before = (0..it)
-                    .map(|r| conditions.present_workers(n, r).len() as u64)
-                    .sum();
-            }
-        }
-        let present = conditions.present_workers(n, it);
-        let Some(rank) = present.iter().position(|&p| p == worker) else {
-            if evictions.contains(&(worker, it)) {
-                let farewell = layer.exchange(worker, it as u64, MsgKind::Flags, &[0]);
-                assert!(
-                    farewell.is_err(),
-                    "worker {worker} was precomputed as evicted at round {it} but its \
-                     exchange succeeded"
-                );
-                cfg.trace.record(Event::CommEvict { round: it, worker });
-            }
-            was_present = false;
-            forwards_before += present.len() as u64;
-            if end_of_round(
-                it,
-                &present,
-                &params,
-                optimizer.as_ref(),
-                &tracker,
-                &counter,
-                &sync_rounds,
-                last_loss,
-            ) {
-                break;
-            }
-            continue;
-        };
-        let active = present.len();
-        let forward_index = forwards_before + rank as u64;
-        forwards_before += active as u64;
-        if !was_present {
-            if !layer.ps_down(it as u64) {
-                exchange(it, MsgKind::Pull, &(it as u64).to_le_bytes());
-            }
-            params = match cfg.rejoin_pull {
-                RejoinPull::WallClock => hub.pull(),
-                RejoinPull::Scheduled => {
-                    hub.wait_caught_up(it);
-                    hub.scheduled_global_before(it as u64)
-                }
-            };
-            if cfg.trace.is_enabled() {
-                let (pull, from) = match cfg.rejoin_pull {
-                    RejoinPull::Scheduled => (
-                        PullKind::Scheduled,
-                        hub.scheduled_round_before(it as u64).map(|r| r as usize),
-                    ),
-                    RejoinPull::WallClock => (PullKind::WallClock, None),
-                };
-                cfg.trace.record(Event::RejoinPull {
-                    round: it,
-                    worker,
-                    pull,
-                    from,
-                });
-            }
-            tracker = new_tracker();
-            optimizer = cfg.optimizer.build();
-            was_present = true;
-        }
-
-        indices.clear();
-        for _ in 0..cfg.batch_size {
-            indices.push(traversal[cursor % traversal.len()]);
-            cursor += 1;
-        }
-        cursor %= traversal.len();
-        let (x, y) = train.batch(&indices);
-        model.set_params_flat(&params);
-        model.seek_dropout(forward_index);
-        let stats = model.forward_backward(&x, &y);
-        last_loss = stats.loss;
-        let grads = model.grads_flat();
-        let delta_g = tracker.update(&grads);
-
-        let lr = cfg.lr.lr_at(cfg.epoch_of(it), it);
-        optimizer.step(&mut params, &grads, lr);
-
-        if layer.ps_down(it as u64) {
-            let probe =
-                layer.ps_exchange(worker, it as u64, MsgKind::Pull, &(it as u64).to_le_bytes());
-            assert!(
-                matches!(probe, Err(PsExchangeError::Down { .. })),
-                "the PS availability schedule and the layer's gate disagree at round {it}"
-            );
-            let sync_policy = SyncPolicy::new(hub.delta_for(it));
-            hub.allgather_flags_among(it as u64, false, active);
-            counter.record_local();
-            if rank == 0 {
-                if cfg.trace.is_enabled() {
-                    crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
-                    if ps_schedule
-                        .as_ref()
-                        .is_some_and(|s| s.outage_starts(it as u64))
-                    {
-                        cfg.trace.record(Event::PsDown { round: it });
-                    }
-                    cfg.trace.record(Event::DegradedRound {
-                        round: it,
-                        delta: sync_policy.delta,
-                        loss: stats.loss,
-                        delta_g,
-                    });
-                }
-                hub.observe(
-                    RoundSignal {
-                        iteration: it,
-                        max_delta: delta_g,
-                        mean_loss: stats.loss,
-                        delta_mean: delta_g,
-                        delta_sq_mean: delta_g * delta_g,
-                        synced: false,
-                    },
-                    conditions.next_active_iteration(n, it + 1, cfg.iterations),
-                );
-            }
-            if end_of_round(
-                it,
-                &present,
-                &params,
-                optimizer.as_ref(),
-                &tracker,
-                &counter,
-                &sync_rounds,
-                last_loss,
-            ) {
-                break;
-            }
-            continue;
-        }
-        let catchup = ps_schedule
-            .as_ref()
-            .is_some_and(|s| s.outage_ends(it as u64));
-
-        let (mean_loss, cluster_delta, moments) = if exchange_signals {
-            let mut scalar_payload = [0u8; 8];
-            scalar_payload[..4].copy_from_slice(&stats.loss.to_le_bytes());
-            scalar_payload[4..].copy_from_slice(&delta_g.to_le_bytes());
-            exchange(it, MsgKind::ScalarReduce, &scalar_payload);
-            let mut vec_payload = [0u8; 8];
-            vec_payload[..4].copy_from_slice(&delta_g.to_le_bytes());
-            vec_payload[4..].copy_from_slice(&(delta_g * delta_g).to_le_bytes());
-            exchange(it, MsgKind::VecReduce, &vec_payload);
-            (
-                hub.allreduce_scalar_among(it as u64, stats.loss, active, ScalarOp::Mean),
-                hub.allreduce_scalar_among(it as u64, delta_g, active, ScalarOp::Max),
-                hub.allreduce_vec_among(
-                    it as u64,
-                    &[delta_g, delta_g * delta_g],
-                    active,
-                    ScalarOp::Mean,
-                ),
-            )
-        } else {
-            (stats.loss, delta_g, vec![delta_g, delta_g * delta_g])
-        };
-
-        let sync_policy = SyncPolicy::new(hub.delta_for(it));
-
-        let wants_sync = catchup || sync_policy.worker_wants_sync(delta_g);
-        let attempts = exchange(it, MsgKind::Flags, &[wants_sync as u8]);
-        if attempts > 1 {
-            cfg.trace.record(Event::CommRetry {
-                round: it,
-                worker,
-                attempts,
-            });
-        }
-        let flags = hub.allgather_flags_among(it as u64, wants_sync, active);
-        let synced = flags.iter().any(|&f| f);
-        if synced {
-            exchange(
-                it,
-                MsgKind::SyncRound,
-                &((params.len() * 4) as u64).to_le_bytes(),
-            );
-            params = hub.sync_round_elastic(it as u64, &params, active);
-            counter.record_sync();
-            sync_rounds.push(it);
-        } else {
-            counter.record_local();
-        }
-        if rank == 0 {
-            if cfg.trace.is_enabled() {
-                crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
-                if catchup {
-                    let schedule = ps_schedule.as_ref().expect("catchup implies a schedule");
-                    cfg.trace.record(Event::PsUp { round: it });
-                    cfg.trace.record(Event::CatchupSync {
-                        round: it,
-                        behind: schedule.rounds_behind(it as u64) as usize,
-                    });
-                }
-                if exchange_signals {
-                    cfg.trace.record(Event::Signal {
-                        round: it,
-                        mean_loss,
-                        max_delta: cluster_delta,
-                    });
-                }
-                cfg.trace.record(Event::Round {
-                    round: it,
-                    delta: sync_policy.delta,
-                    flags: present.iter().map(|&w| flags[w]).collect(),
-                    synced,
-                });
-            }
-            hub.observe(
-                RoundSignal {
-                    iteration: it,
-                    max_delta: cluster_delta,
-                    mean_loss,
-                    delta_mean: moments[0],
-                    delta_sq_mean: moments[1],
-                    synced,
-                },
-                conditions.next_active_iteration(n, it + 1, cfg.iterations),
-            );
-        }
-        if end_of_round(
-            it,
-            &present,
-            &params,
-            optimizer.as_ref(),
-            &tracker,
-            &counter,
-            &sync_rounds,
-            last_loss,
-        ) {
-            break;
-        }
-    }
-
-    // A killed worker dies right here — no final pull, no farewell. Its report
-    // never reaches the orchestrator (the process is gone); the in-process
-    // tests that drive the kill through `WorkerOptions` just discard it.
-    let distance: f32 = if killed {
-        f32::NAN
-    } else {
-        let global = hub.pull();
-        params
-            .iter()
-            .zip(global.iter())
-            .map(|(a, b)| (a - b).powi(2))
-            .sum::<f32>()
-            .sqrt()
-    };
-    let report = ThreadedWorkerReport {
+    let report = run_worker(
+        cfg,
+        &setup,
         worker,
-        sync_steps: counter.sync_steps,
-        local_steps: counter.local_steps,
-        sync_rounds,
-        final_loss: last_loss,
-        distance_to_global: distance,
-    };
+        &port,
+        &layer,
+        resume.as_deref(),
+        opts.kill_at,
+    );
     (report, cfg.trace.take_log().encode())
 }
 
@@ -1351,7 +615,8 @@ pub fn decode_worker_report(line: &str) -> Result<ThreadedWorkerReport, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threaded::run_threaded_selsync;
+    use crate::conditions::FaultEvent;
+    use crate::threaded::{run_threaded_selsync, run_threaded_selsync_resumed};
     use selsync_nn::model::ModelKind;
     use selsync_tracelog::{EventLog, TraceGranularity, TraceSink};
 
@@ -1581,6 +846,84 @@ mod tests {
         assert_eq!(
             resumed_trace, full_trace,
             "resumed merged trace diverged from the uninterrupted run"
+        );
+        for (a, b) in full_reports.iter().zip(resumed_reports.iter()) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The configuration of the cross-backend resume tests: an adaptive policy
+    /// carrying cross-round state through a PS outage that straddles the halt.
+    fn cross_backend_cfg() -> TrainConfig {
+        use selsync_comm::faults::PsFaultSpec;
+        let mut c = cfg(0.05, 3);
+        c.ps_faults = Some(PsFaultSpec {
+            seed: 11,
+            windows: vec![(9, 3)],
+            flaky: 0.0,
+        });
+        c.delta_policy = Some(PolicySpec::adaptive_default());
+        c
+    }
+
+    fn halt_at_10(c: &mut TrainConfig, dir: &std::path::Path) {
+        c.checkpoint = Some(crate::config::CheckpointSpec {
+            every: 5,
+            dir: dir.to_string_lossy().into_owned(),
+            halt_after: Some(10),
+            keep: None,
+        });
+    }
+
+    #[test]
+    fn threaded_halt_image_resumes_on_the_socket_cluster() {
+        let dir = std::env::temp_dir().join(format!(
+            "selsync-threaded-to-process-test-{}",
+            std::process::id()
+        ));
+        let (full_reports, full_trace) = run_in_process_cluster(&cross_backend_cfg(), "t2p-full");
+
+        let mut halted_cfg = cross_backend_cfg();
+        halted_cfg.trace = TraceSink::capture(TraceGranularity::Full);
+        halt_at_10(&mut halted_cfg, &dir);
+        run_threaded_selsync(&halted_cfg);
+        let ckpt = Checkpoint::read_file(dir.join("ckpt-10")).expect("halt image reads back");
+        assert_eq!(ckpt.backend, "threaded");
+
+        let (resumed_reports, resumed_trace) =
+            run_in_process_cluster_with(&cross_backend_cfg(), "t2p-rest", Some(&ckpt), None);
+        assert_eq!(
+            resumed_trace, full_trace,
+            "threaded image resumed on the socket cluster diverged from the uninterrupted run"
+        );
+        for (a, b) in full_reports.iter().zip(resumed_reports.iter()) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn process_halt_image_resumes_on_the_threaded_driver() {
+        let dir = std::env::temp_dir().join(format!(
+            "selsync-process-to-threaded-test-{}",
+            std::process::id()
+        ));
+        let (full_reports, full_trace) = run_in_process_cluster(&cross_backend_cfg(), "p2t-full");
+
+        let mut halted_cfg = cross_backend_cfg();
+        halt_at_10(&mut halted_cfg, &dir);
+        let _halted = run_in_process_cluster_with(&halted_cfg, "p2t-halt", None, None);
+        let ckpt = Checkpoint::read_file(dir.join("ckpt-10")).expect("halt image reads back");
+        assert_eq!(ckpt.backend, "process");
+
+        let mut resumed_cfg = cross_backend_cfg();
+        resumed_cfg.trace = TraceSink::capture(TraceGranularity::Full);
+        let resumed_reports = run_threaded_selsync_resumed(&resumed_cfg, &ckpt);
+        assert_eq!(
+            resumed_cfg.trace.take_log().encode(),
+            full_trace,
+            "process image resumed on the threaded driver diverged from the uninterrupted run"
         );
         for (a, b) in full_reports.iter().zip(resumed_reports.iter()) {
             assert_eq!(format!("{a:?}"), format!("{b:?}"));

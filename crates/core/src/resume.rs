@@ -1,15 +1,19 @@
-//! Cross-backend checkpoint translation: resume a simulator checkpoint on the
-//! threaded driver and vice versa.
+//! Cross-backend checkpoint translation between the simulator and the real
+//! backends.
 //!
-//! Both backends checkpoint at the same place — a round boundary after round
-//! `ckpt.round` — and agree on every *durable* quantity: per-worker parameter
-//! replicas, optimizer and `Δ(g_i)` tracker state, the synchronized global
-//! vector, the δ-policy state and the trace prefix. What differs is the
-//! bookkeeping each backend keeps around that shared core:
+//! The threaded driver and the process cluster share one hub (`crate::hub`),
+//! which writes one image layout under the writing backend's tag (`"threaded"`
+//! or `"process"`); either real backend resumes either tag as it is. Only the
+//! simulator keeps its own layout. Both layouts checkpoint at the same place —
+//! a round boundary after round `ckpt.round` — and agree on every *durable*
+//! quantity: per-worker parameter replicas, optimizer and `Δ(g_i)` tracker
+//! state, the synchronized global vector, the δ-policy state and the trace
+//! prefix. What differs is the bookkeeping each layout keeps around that
+//! shared core:
 //!
 //! * the simulator stores cluster-level aggregates (LSSR, cost-model time,
 //!   bytes, eval history, its sampling RNG cursor), while
-//! * the threaded driver stores per-worker LSSR counters and the parameter
+//! * the real backends store per-worker LSSR counters and the parameter
 //!   server's wire-level state (newest-global guard, snapshot ring).
 //!
 //! The translators below map one layout onto the other. Schedule-pure cursors
@@ -23,24 +27,25 @@
 //!   the *latest* synchronized snapshot — a rejoin that needs an older ring
 //!   entry than the last pre-resume sync is outside the translated image.
 //! * **threaded → sim**: the cost-model aggregates (simulated compute/comm
-//!   seconds, bytes) and the eval history restart from zero — the threaded
-//!   driver never computes them. Schedule-level facts (sync rounds, LSSR,
+//!   seconds, bytes) and the eval history restart from zero — the real
+//!   backends never compute them. Schedule-level facts (sync rounds, LSSR,
 //!   losses, `Δ` state, the trace) carry over exactly, so the resumed run's
 //!   event log and synchronization schedule still match an uninterrupted
 //!   simulator run byte for byte on crash-free schedules.
 //!
 //! `tests/ps_fault_parity.rs` pins both directions across a PS-outage schedule.
 
-use crate::checkpoint::{Checkpoint, Section};
+use crate::checkpoint::{config_fingerprint, Checkpoint, Section};
 use crate::config::{RejoinPull, TrainConfig};
 use crate::sim;
 use selsync_comm::ps::{PsState, RingState, DEFAULT_SNAPSHOT_DEPTH};
 use selsync_nn::model::PaperModel;
 use selsync_tensor::rng;
+use std::borrow::Cow;
 
 /// Pack a parameter server's exported state into the checkpoint `ps` section —
-/// the single packing both the threaded driver and the process hub write, and
-/// the mirror of [`read_ps_state`].
+/// the packing the hub writes for both real backends, and the mirror of
+/// [`read_ps_state`].
 pub(crate) fn ps_section(state: &PsState) -> Section {
     let mut section = Section::new("ps");
     section.push_f32s(&state.global);
@@ -93,34 +98,23 @@ pub(crate) fn read_ps_state(ckpt: &Checkpoint) -> PsState {
     }
 }
 
-/// Relabel a checkpoint's backend tag. The threaded driver and the process hub
-/// write the *identical* image layout (same `ps`/`board`/`worker{w}` packing,
-/// same quiescent point — a round boundary with the round's signals observed),
-/// so cross-backend translation between them is a pure relabel.
-fn relabel(ckpt: &Checkpoint, from: &str, to: &str) -> Checkpoint {
+/// The image a real backend resumes from. The threaded driver and the process
+/// hub write one layout through one writer (`crate::hub`), so `"threaded"` and
+/// `"process"` images are read as they are; a simulator image is translated
+/// into that layout first. Panics on a foreign tag or a configuration mismatch:
+/// resuming under a different config is always a bug.
+pub(crate) fn cluster_image<'a>(cfg: &TrainConfig, ckpt: &'a Checkpoint) -> Cow<'a, Checkpoint> {
+    let image = match ckpt.backend.as_str() {
+        "sim" => Cow::Owned(sim_to_threaded(cfg, ckpt)),
+        "threaded" | "process" => Cow::Borrowed(ckpt),
+        other => panic!("checkpoint was written by the unknown {other:?} backend"),
+    };
     assert_eq!(
-        ckpt.backend, from,
-        "expected a {from:?} checkpoint to relabel as {to:?}, got backend {:?}",
-        ckpt.backend
+        image.fingerprint,
+        config_fingerprint(cfg),
+        "checkpoint belongs to a different configuration"
     );
-    let mut out = ckpt.clone();
-    out.backend = to.to_string();
-    out
-}
-
-/// Translate a threaded-driver checkpoint for the multi-process backend.
-pub fn threaded_to_process(ckpt: &Checkpoint) -> Checkpoint {
-    relabel(ckpt, "threaded", "process")
-}
-
-/// Translate a process-backend checkpoint for the threaded driver.
-pub fn process_to_threaded(ckpt: &Checkpoint) -> Checkpoint {
-    relabel(ckpt, "process", "threaded")
-}
-
-/// Translate a simulator checkpoint for the multi-process backend.
-pub fn sim_to_process(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
-    threaded_to_process(&sim_to_threaded(cfg, ckpt))
+    image
 }
 
 /// The per-worker durable core both backends store (identical field order on
@@ -182,8 +176,9 @@ fn traversal_len(cfg: &TrainConfig, w: usize) -> usize {
     sim::worker_traversal(cfg, &train, &iid_order, w).len()
 }
 
-/// Translate a simulator checkpoint into the threaded driver's layout, so
-/// `run_threaded` can resume a run the sequential simulator started.
+/// Translate a simulator checkpoint into the real backends' layout, so the
+/// threaded driver and the process cluster can resume a run the sequential
+/// simulator started.
 pub fn sim_to_threaded(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
     assert_eq!(
         ckpt.backend, "sim",
@@ -287,12 +282,12 @@ pub fn sim_to_threaded(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
     out
 }
 
-/// Translate a threaded-driver checkpoint into the simulator's layout, so
-/// `run` can resume a run the threaded cluster started.
+/// Translate a threaded or process checkpoint (one layout) into the
+/// simulator's, so `run` can resume a run either real backend started.
 pub fn threaded_to_sim(cfg: &TrainConfig, ckpt: &Checkpoint) -> Checkpoint {
-    assert_eq!(
-        ckpt.backend, "threaded",
-        "threaded_to_sim expects a threaded checkpoint, got backend {:?}",
+    assert!(
+        matches!(ckpt.backend.as_str(), "threaded" | "process"),
+        "threaded_to_sim expects a threaded or process checkpoint, got backend {:?}",
         ckpt.backend
     );
     let h = ckpt.round;

@@ -1,7 +1,6 @@
 //! Deterministic synthetic dataset generators.
 //!
-//! These stand in for the paper's datasets (the substitution is documented in
-//! `DESIGN.md`):
+//! These stand in for the paper's datasets:
 //!
 //! * [`gaussian_mixture`] — a learnable classification task: each class has a random
 //!   centroid on a hypersphere and samples are the centroid plus isotropic noise. Used

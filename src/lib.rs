@@ -8,11 +8,10 @@
 //!   policy, and the BSP / FedAvg / SSP / local-SGD / SelSync training drivers.
 //! * [`tensor`], [`nn`], [`data`], [`comm`] — the substrates (dense math, neural
 //!   networks, datasets/partitioning, parameter server + collectives + network model).
-//! * [`compress`], [`hessian`], [`metrics`] — gradient-compression baselines,
-//!   second-order diagnostics, and metrics/reporting.
+//! * [`hessian`], [`metrics`] — second-order diagnostics, and metrics/reporting.
 //!
-//! See `README.md` for a guided tour, `DESIGN.md` for the system inventory and
-//! substitutions, and `EXPERIMENTS.md` for the paper-vs-measured record.
+//! `docs/` holds the subsystem guides (transport, recovery, scenarios, event log,
+//! comm faults, performance); `ROADMAP.md` records what is done and what is open.
 
 /// The paper's contribution: selective synchronization (re-export of the `selsync` crate).
 pub use selsync as core;
@@ -32,9 +31,6 @@ pub use selsync_comm as comm;
 
 /// Deterministic run-trace layer (typed event stream, line codec, trace diff).
 pub use selsync_tracelog as tracelog;
-
-/// Gradient-compression baselines (Top-k, Random-k, signSGD, TernGrad, error feedback).
-pub use selsync_compress as compress;
 
 /// Second-order diagnostics (Hessian-vector products, power iteration, gradient variance).
 pub use selsync_hessian as hessian;
@@ -57,7 +53,6 @@ mod tests {
         let _ = crate::data::partition::PartitionScheme::SelDp;
         let _ = crate::comm::NetworkModel::paper_5gbps();
         let _ = crate::tracelog::TraceSink::disabled();
-        let _ = crate::compress::SignSgd::new();
         let _ = crate::hessian::variance::gradient_variance(&[1.0]);
         let _ = crate::metrics::Ewma::new(0.5, 5);
         let _ = crate::scenario::library::builtin("steady");

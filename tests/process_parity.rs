@@ -26,7 +26,9 @@ use selsync_repro::core::policy::PolicySpec;
 use selsync_repro::core::process::{
     decode_worker_report, run_process_hub_with, run_process_worker_with, WorkerOptions,
 };
-use selsync_repro::core::threaded::ThreadedWorkerReport;
+use selsync_repro::core::threaded::{
+    run_threaded_selsync, run_threaded_selsync_resumed, ThreadedWorkerReport,
+};
 use selsync_repro::nn::model::ModelKind;
 use selsync_repro::tracelog::{EventLog, TraceGranularity, TraceSink};
 use std::path::{Path, PathBuf};
@@ -375,4 +377,126 @@ fn cluster_checkpoint_resume_reproduces_the_uninterrupted_run() {
     let (reports, merged) = run_cluster(case, cfg.workers, "resume", &resume_env);
     assert_cluster_matches_sim(case, &cfg, &reports, &merged);
     let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
+
+/// A fresh per-test checkpoint directory under the system temp dir.
+fn fresh_ckpt_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "selsync-process-parity-{}-{tag}-images",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    dir
+}
+
+/// Run `case` as a process cluster that checkpoints every 5 rounds and halts
+/// after round 10; returns the halt image and the directory holding it.
+fn halt_process_cluster_at_10(case: &str, tag: &str) -> (Checkpoint, PathBuf) {
+    let dir = fresh_ckpt_dir(tag);
+    let env = [
+        (
+            "SELSYNC_PROCESS_CKPT_DIR",
+            dir.to_str().expect("utf-8 temp dir").to_string(),
+        ),
+        ("SELSYNC_PROCESS_CKPT_EVERY", "5".to_string()),
+        ("SELSYNC_PROCESS_HALT", "10".to_string()),
+    ];
+    let _ = run_cluster(case, test_cfg(case).workers, tag, &env);
+    let ckpt = Checkpoint::read_file(dir.join("ckpt-10")).expect("halt image reads back");
+    assert_eq!(ckpt.backend, "process");
+    assert_eq!(ckpt.round, 10);
+    (ckpt, dir)
+}
+
+/// Every report field of `resumed` equals the uninterrupted run's, compared
+/// through the wire encoding so float fields are checked bit for bit.
+fn assert_reports_equal(
+    case: &str,
+    full: &[ThreadedWorkerReport],
+    resumed: &[ThreadedWorkerReport],
+) {
+    assert_eq!(full.len(), resumed.len(), "{case}: report count");
+    for (a, b) in full.iter().zip(resumed) {
+        assert_eq!(
+            selsync_repro::core::process::encode_worker_report(a),
+            selsync_repro::core::process::encode_worker_report(b),
+            "{case}: worker {} report diverged from the uninterrupted run",
+            a.worker
+        );
+    }
+}
+
+/// A threaded-driver halt image resumes on a cluster of worker processes: the
+/// merged shards and every report equal the uninterrupted run's.
+#[test]
+fn threaded_halt_image_resumes_on_a_process_cluster() {
+    let case = "ckpt-w2";
+    let dir = fresh_ckpt_dir("t2p");
+    let mut halted = test_cfg(case);
+    halted.checkpoint = Some(CheckpointSpec {
+        every: 5,
+        dir: dir.to_str().expect("utf-8 temp dir").to_string(),
+        halt_after: Some(10),
+        keep: None,
+    });
+    run_threaded_selsync(&halted);
+    let image = dir.join("ckpt-10");
+    let ckpt = Checkpoint::read_file(&image).expect("halt image reads back");
+    assert_eq!(ckpt.backend, "threaded");
+    assert_eq!(ckpt.round, 10);
+
+    let resume_env = [(
+        "SELSYNC_PROCESS_RESUME",
+        image.to_str().expect("utf-8 path").to_string(),
+    )];
+    let (reports, merged) = run_cluster(case, halted.workers, "t2p-resume", &resume_env);
+    assert_cluster_matches_sim(case, &test_cfg(case), &reports, &merged);
+    assert_reports_equal(case, &run_threaded_selsync(&test_cfg(case)), &reports);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A process-cluster halt image resumes on the threaded driver: its trace and
+/// every report equal the uninterrupted run's.
+#[test]
+fn process_cluster_halt_image_resumes_on_the_threaded_driver() {
+    let case = "ckpt-w2";
+    let (ckpt, dir) = halt_process_cluster_at_10(case, "p2t-halt");
+    let resumed_cfg = test_cfg(case);
+    let reports = run_threaded_selsync_resumed(&resumed_cfg, &ckpt);
+    let trace = resumed_cfg.trace.take_log().encode();
+    assert_cluster_matches_sim(case, &test_cfg(case), &reports, &trace);
+    assert_reports_equal(case, &run_threaded_selsync(&test_cfg(case)), &reports);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A process-cluster halt image resumes on the simulator: the trace and every
+/// schedule-level report fact equal the uninterrupted simulator run's.
+#[test]
+fn process_cluster_halt_image_resumes_on_the_simulator() {
+    let case = "ckpt-w2";
+    let (ckpt, dir) = halt_process_cluster_at_10(case, "p2s-halt");
+    let full_cfg = test_cfg(case);
+    let full = algorithms::run(&full_cfg);
+    let resumed_cfg = test_cfg(case);
+    let resumed = algorithms::selsync::run_resumed(&resumed_cfg, &ckpt);
+    assert_eq!(
+        resumed_cfg.trace.take_log().encode(),
+        full_cfg.trace.take_log().encode(),
+        "process image resumed on the simulator diverged from the uninterrupted run"
+    );
+    assert_eq!(resumed.sync_rounds, full.sync_rounds, "sync schedule");
+    assert_eq!(resumed.sync_steps, full.sync_steps, "sync steps");
+    assert_eq!(resumed.local_steps, full.local_steps, "local steps");
+    assert_eq!(
+        resumed.final_loss.to_bits(),
+        full.final_loss.to_bits(),
+        "final loss"
+    );
+    assert_eq!(
+        resumed.final_metric.to_bits(),
+        full.final_metric.to_bits(),
+        "final metric"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

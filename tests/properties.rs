@@ -1,11 +1,8 @@
 //! Property-based tests (proptest) over the core data structures and invariants that the
-//! paper's mechanism depends on: partitioning, the δ policy, aggregation, compression,
-//! EWMA smoothing and the flat parameter round-trip.
+//! paper's mechanism depends on: partitioning, the δ policy, aggregation, EWMA
+//! smoothing and the flat parameter round-trip.
 
 use proptest::prelude::*;
-use selsync_repro::compress::{
-    decompress_dense, Compressor, ErrorFeedback, SignSgd, TernGrad, TopK,
-};
 use selsync_repro::core::aggregation::{average, replica_divergence};
 use selsync_repro::core::policy::{SyncDecision, SyncPolicy};
 use selsync_repro::core::tracker::{GradStatistic, GradientTracker};
@@ -129,48 +126,6 @@ proptest! {
         let avg = average(&vecs);
         let after: Vec<Vec<f32>> = vecs.iter().map(|_| avg.clone()).collect();
         prop_assert!(replica_divergence(&after) <= before + 1e-6);
-    }
-
-    // ----- compression ------------------------------------------------------------
-
-    #[test]
-    fn topk_keeps_the_true_largest_magnitudes(grad in proptest::collection::vec(-100.0f32..100.0, 1..256)) {
-        let mut c = TopK::new(0.25);
-        let payload = c.compress(&grad);
-        let dense = decompress_dense(&payload);
-        // Every transmitted coordinate's magnitude is >= every dropped coordinate's magnitude.
-        let kept_min = dense
-            .iter()
-            .zip(grad.iter())
-            .filter(|(d, _)| **d != 0.0)
-            .map(|(_, g)| g.abs())
-            .fold(f32::INFINITY, f32::min);
-        let dropped_max = dense
-            .iter()
-            .zip(grad.iter())
-            .filter(|(d, g)| **d == 0.0 && **g != 0.0)
-            .map(|(_, g)| g.abs())
-            .fold(0.0f32, f32::max);
-        prop_assert!(kept_min + 1e-6 >= dropped_max, "kept_min {kept_min} dropped_max {dropped_max}");
-    }
-
-    #[test]
-    fn error_feedback_conserves_compensated_mass(grad in proptest::collection::vec(-10.0f32..10.0, 4..64)) {
-        let mut ef = ErrorFeedback::new(TopK::new(0.25));
-        let payload = ef.compress(&grad);
-        let sent = decompress_dense(&payload);
-        for i in 0..grad.len() {
-            // grad (+ zero initial residual) == sent + residual, coordinate-wise.
-            prop_assert!((grad[i] - (sent[i] + ef.residual()[i])).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn sign_and_ternary_compression_preserve_dimensions(grad in proptest::collection::vec(-1.0f32..1.0, 1..128)) {
-        let mut s = SignSgd::new();
-        let mut t = TernGrad::new(1);
-        prop_assert_eq!(decompress_dense(&s.compress(&grad)).len(), grad.len());
-        prop_assert_eq!(decompress_dense(&t.compress(&grad)).len(), grad.len());
     }
 
     // ----- thread-count determinism of the compute backend --------------------------
