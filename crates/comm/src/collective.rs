@@ -3,10 +3,10 @@
 //! SelSync's decision step is an `all-gather` of one synchronization-status bit per
 //! worker (Alg. 1, line 12); its aggregation step (and the decentralized variant the
 //! paper mentions in §III-E) is an all-reduce. Both are implemented here as
-//! generation-counted rendezvous among the worker threads, plus a plain barrier.
+//! round-keyed elastic rendezvous ([`ElasticRounds`]) among the workers present at a
+//! round: contributions are keyed by worker id and folded in worker order.
 
 use crate::rounds::ElasticRounds;
-use parking_lot::{Condvar, Mutex};
 
 /// Reduction applied by [`Collective::allreduce_scalar_among`]. `Sum` and `Mean` fold
 /// the contributions in **worker-id order** (one in-order f32 fold, then — for `Mean` —
@@ -25,9 +25,6 @@ pub enum ScalarOp {
 /// A reusable set of collectives for a fixed group of `n` workers.
 pub struct Collective {
     n: usize,
-    flags: Rendezvous<Vec<bool>>,
-    reduce: Rendezvous<Vec<f32>>,
-    barrier: Rendezvous<()>,
     /// Round-keyed elastic status all-gather — the shared [`ElasticRounds`] skeleton
     /// with a gather combine (absent workers read as the fill value).
     elastic_flags: ElasticRounds<bool, Vec<bool>>,
@@ -41,75 +38,12 @@ pub struct Collective {
     elastic_vecs: ElasticRounds<Vec<f32>, Vec<f32>>,
 }
 
-/// Internal generation-counted rendezvous: workers deposit a contribution, the last one
-/// combines them, and everyone receives the combined result for that generation.
-struct Rendezvous<T: Clone> {
-    state: Mutex<RendezvousState<T>>,
-    cv: Condvar,
-}
-
-struct RendezvousState<T: Clone> {
-    contributions: Vec<Option<T>>,
-    arrived: usize,
-    generation: u64,
-    result: Option<(u64, T)>,
-}
-
-impl<T: Clone> Rendezvous<T> {
-    fn new(n: usize) -> Self {
-        Rendezvous {
-            state: Mutex::new(RendezvousState {
-                contributions: (0..n).map(|_| None).collect(),
-                arrived: 0,
-                generation: 0,
-                result: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn run(&self, worker: usize, value: T, combine: impl FnOnce(&[Option<T>]) -> T) -> T {
-        let mut s = self.state.lock();
-        assert!(worker < s.contributions.len(), "worker id out of range");
-        assert!(
-            s.contributions[worker].is_none(),
-            "worker {worker} contributed twice in one round"
-        );
-        s.contributions[worker] = Some(value);
-        s.arrived += 1;
-        let my_gen = s.generation;
-
-        if s.arrived == s.contributions.len() {
-            let combined = combine(&s.contributions);
-            s.result = Some((my_gen, combined.clone()));
-            s.generation += 1;
-            s.arrived = 0;
-            for c in s.contributions.iter_mut() {
-                *c = None;
-            }
-            self.cv.notify_all();
-            return combined;
-        }
-        loop {
-            self.cv.wait(&mut s);
-            if let Some((gen, result)) = &s.result {
-                if *gen == my_gen {
-                    return result.clone();
-                }
-            }
-        }
-    }
-}
-
 impl Collective {
     /// Create collectives for a group of `n` workers.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "collective group must be non-empty");
         Collective {
             n,
-            flags: Rendezvous::new(n),
-            reduce: Rendezvous::new(n),
-            barrier: Rendezvous::new(n),
             elastic_flags: ElasticRounds::new(),
             elastic_scalars: [
                 ElasticRounds::new(),
@@ -118,22 +52,6 @@ impl Collective {
             ],
             elastic_vecs: ElasticRounds::new(),
         }
-    }
-
-    /// Group size.
-    pub fn world_size(&self) -> usize {
-        self.n
-    }
-
-    /// All-gather of one boolean per worker: every worker receives the full flags array
-    /// indexed by worker id. This is the `allgather_status` of Alg. 1.
-    pub fn allgather_flags(&self, worker: usize, flag: bool) -> Vec<bool> {
-        self.flags.run(worker, vec![flag], |contrib| {
-            contrib
-                .iter()
-                .map(|c| c.as_ref().map(|v| v[0]).unwrap_or(false))
-                .collect()
-        })
     }
 
     /// All-gather of one boolean per worker among an elastic subset of `expected` live
@@ -257,40 +175,6 @@ impl Collective {
                 out
             })
     }
-
-    /// All-reduce (mean) over equal-length `f32` vectors: every worker receives the
-    /// element-wise average of all contributions.
-    pub fn allreduce_mean(&self, worker: usize, value: Vec<f32>) -> Vec<f32> {
-        let n = self.n as f32;
-        self.reduce.run(worker, value, move |contrib| {
-            let dim = contrib
-                .iter()
-                .flatten()
-                .next()
-                .map(|v| v.len())
-                .unwrap_or(0);
-            let mut out = vec![0.0f32; dim];
-            for c in contrib.iter().flatten() {
-                assert_eq!(
-                    c.len(),
-                    dim,
-                    "allreduce contributions must have equal length"
-                );
-                for (o, &x) in out.iter_mut().zip(c.iter()) {
-                    *o += x;
-                }
-            }
-            for o in out.iter_mut() {
-                *o /= n;
-            }
-            out
-        })
-    }
-
-    /// Block until all workers reach the barrier.
-    pub fn barrier(&self, worker: usize) {
-        self.barrier.run(worker, (), |_| ());
-    }
 }
 
 #[cfg(test)]
@@ -311,69 +195,6 @@ mod tests {
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    }
-
-    #[test]
-    fn allgather_flags_returns_everyones_bit() {
-        let coll = Arc::new(Collective::new(6));
-        let c = Arc::clone(&coll);
-        let results = spawn_workers(6, move |w| c.allgather_flags(w, w % 2 == 0));
-        for flags in results {
-            assert_eq!(flags, vec![true, false, true, false, true, false]);
-        }
-    }
-
-    #[test]
-    fn allreduce_mean_averages_vectors() {
-        let coll = Arc::new(Collective::new(4));
-        let c = Arc::clone(&coll);
-        let results = spawn_workers(4, move |w| c.allreduce_mean(w, vec![w as f32, 10.0]));
-        for avg in results {
-            assert!((avg[0] - 1.5).abs() < 1e-6);
-            assert!((avg[1] - 10.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn collectives_are_reusable_across_rounds() {
-        let coll = Arc::new(Collective::new(3));
-        let c = Arc::clone(&coll);
-        let results = spawn_workers(3, move |w| {
-            let mut outputs = Vec::new();
-            for round in 0..10 {
-                let v = c.allreduce_mean(w, vec![(w + round) as f32]);
-                outputs.push(v[0]);
-                c.barrier(w);
-            }
-            outputs
-        });
-        for out in results {
-            for (round, v) in out.iter().enumerate() {
-                let expected = (0..3).map(|w| (w + round) as f32).sum::<f32>() / 3.0;
-                assert!((v - expected).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn barrier_synchronises_all_workers() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let coll = Arc::new(Collective::new(5));
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&coll);
-        let cnt = Arc::clone(&counter);
-        let results = spawn_workers(5, move |w| {
-            cnt.fetch_add(1, Ordering::SeqCst);
-            c.barrier(w);
-            // After the barrier every worker must observe all 5 increments.
-            cnt.load(Ordering::SeqCst)
-        });
-        assert!(results.iter().all(|&seen| seen == 5));
-    }
-
-    #[test]
-    fn world_size_reported() {
-        assert_eq!(Collective::new(7).world_size(), 7);
     }
 
     #[test]

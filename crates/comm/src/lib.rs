@@ -8,21 +8,21 @@
 //! analytical cost model:
 //!
 //! * [`ps`] — an in-memory parameter server holding the flat global parameter vector,
-//!   with blocking synchronous aggregation rounds (BSP / SelSync / FedAvg) and
-//!   non-blocking push/pull (SSP).
-//! * [`collective`] — thread rendezvous collectives: the 1-bit-per-worker `all-gather`
-//!   used by SelSync's synchronization-status exchange (Alg. 1, line 12), an
-//!   all-reduce, and a barrier.
+//!   with blocking round-keyed aggregation rounds (BSP / SelSync) and a snapshot ring
+//!   for deterministic rejoin pulls.
+//! * [`collective`] — round-keyed collectives: the 1-bit-per-worker `all-gather`
+//!   used by SelSync's synchronization-status exchange (Alg. 1, line 12) and the
+//!   scalar and vector all-reduces of the cluster signals.
 //! * [`netmodel`] — the analytical network cost model (bandwidth, latency, PS incast,
 //!   ring all-reduce) that converts nominal transfer sizes into simulated seconds. All
 //!   throughput/speedup numbers in the benchmark harness come from this model, with the
 //!   same accounting applied to every algorithm.
-//! * [`rounds`] — the round-keyed elastic rendezvous skeleton shared by the parameter
-//!   server's elastic aggregation rounds and the collective's elastic status
-//!   all-gather: contributions are keyed by worker id and combined in worker order, so
-//!   deterministic combines stay deterministic under any thread scheduling.
-//! * [`cluster`] — a small harness for running a closure on `N` worker threads and
-//!   collecting the per-worker results.
+//! * [`rounds`] — the round-keyed elastic rendezvous skeleton behind every
+//!   parameter-server round and collective: contributions are keyed by worker id
+//!   and combined in worker order, so deterministic combines stay deterministic
+//!   under any thread scheduling.
+//! * [`cluster`] — the shared handles (parameter server plus collectives) of one
+//!   cluster run.
 //! * [`wire`] — serialized, length-prefixed wire messages: every comm op is an
 //!   [`wire::Envelope`] with kind/round/sender ids and a checksum, deduped by its
 //!   `(kind, round, sender)` identity.

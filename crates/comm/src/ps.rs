@@ -1,19 +1,16 @@
-//! In-memory parameter server.
+//! In-memory parameter server for the real backends' hub.
 //!
-//! The server stores the flat global vector (parameters for PA, or a gradient buffer for
-//! GA) and offers two interaction styles:
-//!
-//! * **Synchronous rounds** ([`ParameterServer::sync_round`]): every participating
-//!   worker contributes a vector; once all have arrived the server averages them, stores
-//!   the result as the new global state and hands the averaged vector back to every
-//!   participant. This is the blocking push-then-pull of BSP, FedAvg and SelSync's
-//!   synchronization phase (Alg. 1, lines 14–15).
-//! * **Asynchronous push/pull** ([`ParameterServer::push_delta`] /
-//!   [`ParameterServer::pull`]): non-blocking updates used by SSP, where workers apply
-//!   scaled deltas to the global state whenever they finish a step.
+//! The server stores the flat global vector. Workers read it with
+//! [`ParameterServer::pull`] (the `pullFromPS` of Alg. 1) and synchronize through
+//! round-keyed elastic rounds ([`ParameterServer::sync_round_elastic`]): every worker
+//! present at a round contributes a vector, the server averages them in worker-id
+//! order, stores the mean as the new global state and hands it back to every
+//! participant. This is the blocking push-then-pull of BSP and SelSync's
+//! synchronization phase (Alg. 1, lines 14–15). A round-keyed snapshot ring of past
+//! means answers deterministic rejoin pulls.
 
 use crate::rounds::ElasticRounds;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 /// Default depth of the scheduled-snapshot ring enabled by
 /// [`ParameterServer::enable_scheduled_snapshots`]. Synchronized rounds progress
@@ -75,8 +72,6 @@ pub struct PsState {
 /// Shared-memory parameter server over a flat `f32` vector.
 pub struct ParameterServer {
     global: RwLock<Vec<f32>>,
-    round: Mutex<RoundState>,
-    round_cv: Condvar,
     /// Round-keyed elastic aggregation rounds (membership may differ round to round
     /// when workers crash and rejoin) — the shared [`ElasticRounds`] skeleton with a
     /// sum-then-average combine.
@@ -91,29 +86,11 @@ pub struct ParameterServer {
     snapshots: Mutex<SnapshotRing>,
 }
 
-struct RoundState {
-    accum: Vec<f32>,
-    contributions: usize,
-    expected: usize,
-    generation: u64,
-    /// Result of the generation that just completed (kept until the next round starts).
-    finished: Option<(u64, Vec<f32>)>,
-}
-
 impl ParameterServer {
     /// Create a server holding `initial` as the global vector.
     pub fn new(initial: Vec<f32>) -> Self {
-        let dim = initial.len();
         ParameterServer {
             global: RwLock::new(initial),
-            round: Mutex::new(RoundState {
-                accum: vec![0.0; dim],
-                contributions: 0,
-                expected: 0,
-                generation: 0,
-                finished: None,
-            }),
-            round_cv: Condvar::new(),
             elastic: ElasticRounds::new(),
             last_global_round: Mutex::new(None),
             snapshots: Mutex::new(SnapshotRing {
@@ -203,92 +180,10 @@ impl ParameterServer {
         self.global.read().clone()
     }
 
-    /// Overwrite the global vector (used to initialise training or by tests).
-    pub fn store(&self, value: Vec<f32>) {
-        let mut g = self.global.write();
-        assert_eq!(g.len(), value.len(), "parameter server dimension mismatch");
-        *g = value;
-    }
-
-    /// Apply a scaled delta to the global vector without any coordination (SSP-style
-    /// asynchronous update): `global += scale * delta`.
-    pub fn push_delta(&self, delta: &[f32], scale: f32) {
-        let mut g = self.global.write();
-        assert_eq!(g.len(), delta.len(), "parameter server dimension mismatch");
-        for (gi, &di) in g.iter_mut().zip(delta.iter()) {
-            *gi += scale * di;
-        }
-    }
-
-    /// Participate in a blocking synchronous aggregation round over `participants`
-    /// workers. Blocks until all participants of the current round have contributed,
-    /// then returns the element-wise average. The average also becomes the new global
-    /// vector.
-    ///
-    /// All participants of one round must pass the same `participants` count.
-    pub fn sync_round(&self, contribution: &[f32], participants: usize) -> Vec<f32> {
-        assert!(
-            participants > 0,
-            "a synchronization round needs at least one participant"
-        );
-        let mut state = self.round.lock();
-        assert_eq!(
-            contribution.len(),
-            state.accum.len(),
-            "contribution dimension mismatch"
-        );
-
-        // If a previous round just finished and its result has been fully consumed,
-        // `finished` may still hold it; a new round starts when contributions == 0.
-        if state.contributions == 0 {
-            state.expected = participants;
-            for a in state.accum.iter_mut() {
-                *a = 0.0;
-            }
-        } else {
-            assert_eq!(
-                state.expected, participants,
-                "mismatched participant counts in one round"
-            );
-        }
-
-        for (a, &c) in state.accum.iter_mut().zip(contribution.iter()) {
-            *a += c;
-        }
-        state.contributions += 1;
-        let my_generation = state.generation;
-
-        if state.contributions == state.expected {
-            // Last contributor closes the round: average, publish, wake everyone.
-            let n = state.expected as f32;
-            let mean: Vec<f32> = state.accum.iter().map(|&x| x / n).collect();
-            {
-                let mut g = self.global.write();
-                g.copy_from_slice(&mean);
-            }
-            state.finished = Some((my_generation, mean.clone()));
-            state.generation += 1;
-            state.contributions = 0;
-            self.round_cv.notify_all();
-            return mean;
-        }
-
-        // Wait until our generation finishes.
-        loop {
-            self.round_cv.wait(&mut state);
-            if let Some((gen, result)) = &state.finished {
-                if *gen == my_generation {
-                    return result.clone();
-                }
-            }
-        }
-    }
-
     /// Participate in a blocking aggregation round with **elastic membership**: only the
     /// workers alive at this training iteration contribute, and the round is keyed by
-    /// the explicit `round` id rather than an implicit generation counter, so crashed
-    /// workers that skip rounds can neither close nor corrupt rounds they were not part
-    /// of. Averages over the present workers only; the average becomes the new global
+    /// the explicit `round` id, so crashed workers that skip rounds can neither close
+    /// nor corrupt rounds they were not part of. Averages over the present workers only; the average becomes the new global
     /// vector. All participants of one round must pass the same `participants` count,
     /// and a worker contributes at most once per round.
     ///
@@ -405,73 +300,6 @@ mod tests {
         let ps = ParameterServer::new(vec![1.0, 2.0, 3.0]);
         assert_eq!(ps.pull(), vec![1.0, 2.0, 3.0]);
         assert_eq!(ps.dim(), 3);
-    }
-
-    #[test]
-    fn push_delta_accumulates() {
-        let ps = ParameterServer::new(vec![0.0; 4]);
-        ps.push_delta(&[1.0, 2.0, 3.0, 4.0], 0.5);
-        ps.push_delta(&[1.0, 0.0, 0.0, 0.0], 1.0);
-        assert_eq!(ps.pull(), vec![1.5, 1.0, 1.5, 2.0]);
-    }
-
-    #[test]
-    fn store_replaces_state() {
-        let ps = ParameterServer::new(vec![0.0; 2]);
-        ps.store(vec![5.0, 6.0]);
-        assert_eq!(ps.pull(), vec![5.0, 6.0]);
-    }
-
-    #[test]
-    fn single_participant_round_is_identity() {
-        let ps = ParameterServer::new(vec![0.0; 3]);
-        let avg = ps.sync_round(&[3.0, 6.0, 9.0], 1);
-        assert_eq!(avg, vec![3.0, 6.0, 9.0]);
-        assert_eq!(ps.pull(), vec![3.0, 6.0, 9.0]);
-    }
-
-    #[test]
-    fn multi_threaded_round_averages_all_contributions() {
-        let ps = Arc::new(ParameterServer::new(vec![0.0; 2]));
-        let workers = 8;
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let ps = Arc::clone(&ps);
-            handles.push(std::thread::spawn(move || {
-                ps.sync_round(&[w as f32, 1.0], workers)
-            }));
-        }
-        let expected_mean = (0..workers).sum::<usize>() as f32 / workers as f32;
-        for h in handles {
-            let avg = h.join().unwrap();
-            assert!((avg[0] - expected_mean).abs() < 1e-6);
-            assert!((avg[1] - 1.0).abs() < 1e-6);
-        }
-        assert!((ps.pull()[0] - expected_mean).abs() < 1e-6);
-    }
-
-    #[test]
-    fn consecutive_rounds_are_independent() {
-        let ps = Arc::new(ParameterServer::new(vec![0.0; 1]));
-        for round in 0..5 {
-            let mut handles = Vec::new();
-            for w in 0..4 {
-                let ps = Arc::clone(&ps);
-                let v = (round * 4 + w) as f32;
-                handles.push(std::thread::spawn(move || ps.sync_round(&[v], 4)));
-            }
-            let expected = (0..4).map(|w| (round * 4 + w) as f32).sum::<f32>() / 4.0;
-            for h in handles {
-                assert!((h.join().unwrap()[0] - expected).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn dimension_mismatch_panics() {
-        let ps = ParameterServer::new(vec![0.0; 2]);
-        ps.push_delta(&[1.0], 1.0);
     }
 
     #[test]

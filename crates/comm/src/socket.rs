@@ -330,24 +330,24 @@ fn serve_connection(stream: Box<dyn Stream>, service: Arc<dyn RpcService>) -> st
     };
     // The worker behind this connection, learned from the first frame's sender
     // field. Before identification an I/O failure is a hub-fatal error; after
-    // it, any termination — clean EOF, mid-frame EOF, broken pipe — is a worker
-    // death, reported to the service (which models it as a deterministic
-    // eviction) instead of tearing the whole cluster down.
+    // it, any termination — clean EOF, mid-frame EOF, broken pipe, an RPC frame
+    // that fails to decode — is a worker death, reported to the service (which
+    // models it as a deterministic eviction) instead of tearing the whole
+    // cluster down.
     let mut worker: Option<u32> = None;
-    let closed = |w: u32| {
-        service.connection_closed(w);
-        Ok(())
+    let end = |worker: Option<u32>, error: Option<std::io::Error>| match (worker, error) {
+        (Some(w), _) => {
+            service.connection_closed(w);
+            Ok(())
+        }
+        (None, Some(e)) => Err(e),
+        (None, None) => Ok(()),
     };
     loop {
         let frame = match conn.read_frame() {
             Ok(Some(frame)) => frame,
             Ok(None) => break,
-            Err(e) => {
-                return match worker {
-                    Some(w) => closed(w),
-                    None => Err(e),
-                }
-            }
+            Err(e) => return end(worker, Some(e)),
         };
         if worker.is_none() {
             worker = frame_sender(&frame);
@@ -358,7 +358,10 @@ fn serve_connection(stream: Box<dyn Stream>, service: Arc<dyn RpcService>) -> st
         // does over the in-memory transports.
         let is_rpc = frame.len() > 4 && frame[4] == MsgKind::Rpc.as_u8();
         let reply = if is_rpc {
-            let request = Envelope::decode(&frame).map_err(wire_to_io)?;
+            let request = match Envelope::decode(&frame) {
+                Ok(request) => request,
+                Err(e) => return end(worker, Some(wire_to_io(e))),
+            };
             Envelope {
                 kind: MsgKind::Rpc,
                 round: request.round,
@@ -370,16 +373,10 @@ fn serve_connection(stream: Box<dyn Stream>, service: Arc<dyn RpcService>) -> st
             frame
         };
         if let Err(e) = conn.write_frame(&reply) {
-            return match worker {
-                Some(w) => closed(w),
-                None => Err(e),
-            };
+            return end(worker, Some(e));
         }
     }
-    match worker {
-        Some(w) => closed(w),
-        None => Ok(()),
-    }
+    end(worker, None)
 }
 
 #[cfg(test)]
@@ -564,7 +561,7 @@ mod tests {
             closed: Mutex::new(Vec::new()),
         });
         let svc: Arc<dyn RpcService> = Arc::clone(&service) as _;
-        let serving = std::thread::spawn(move || server.serve(3, svc));
+        let serving = std::thread::spawn(move || server.serve(4, svc));
         // Two workers identify themselves over one RPC each, then hang up at a
         // frame boundary (the clean-EOF death shape).
         for worker in [7u32, 9] {
@@ -591,6 +588,19 @@ mod tests {
         assert_eq!(echo, hello);
         raw.write_all(&[1, 2, 3]).expect("partial frame");
         drop(raw);
+        // A fourth sends an RPC frame that fails its checksum: the hub ends
+        // that connection like a broken pipe, not the whole serve.
+        let mut raw = UnixStream::connect(path).expect("raw connect");
+        let mut garbled = Envelope {
+            kind: MsgKind::Rpc,
+            round: 0,
+            sender: 13,
+            payload: vec![1],
+        }
+        .encode();
+        *garbled.last_mut().expect("non-empty frame") ^= 0xff;
+        raw.write_all(&garbled).expect("raw write");
+        drop(raw);
 
         serving
             .join()
@@ -598,7 +608,7 @@ mod tests {
             .expect("hub survives worker hangups");
         let mut closed = service.closed.lock().clone();
         closed.sort_unstable();
-        assert_eq!(closed, vec![7, 9, 11]);
+        assert_eq!(closed, vec![7, 9, 11, 13]);
         let _ = std::fs::remove_file(path);
     }
 

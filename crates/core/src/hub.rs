@@ -2,21 +2,23 @@
 //! collectives, the δ-policy [`SignalBoard`], the round-boundary membership
 //! barrier and the checkpoint gather-and-write.
 //!
+//! Every op reaches the hub as one [`HubCall`] served by [`HubService::call`].
 //! The threaded driver builds one [`HubService`] and hands each worker thread a
 //! [`LocalPort`] into it; the process backend serves the same hub over the
-//! socket RPC surface (`crate::process`). Either way the workers run the one
-//! round loop in [`crate::worker`], so both backends make the same shared-state
-//! calls in the same order — only the carrier differs.
+//! socket RPC surface, decoding each payload into the same call. Either way the
+//! workers run the one round loop in [`crate::worker`], so both backends make
+//! the same shared-state calls in the same order — only the carrier differs.
 
 use crate::checkpoint::{self, Checkpoint, Section};
 use crate::conditions::ClusterConditions;
 use crate::config::{RejoinPull, TrainConfig};
+use crate::hubcall::{HubCall, HubReply};
 use crate::policy::{DeltaPolicy, PolicyState, RoundSignal};
 use crate::worker::ClusterPort;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use selsync_comm::cluster::{make_handles, ClusterHandles};
 use selsync_comm::ps::DEFAULT_SNAPSHOT_DEPTH;
-use selsync_comm::ScalarOp;
+use selsync_comm::socket::RpcService;
 use selsync_nn::model::PaperModel;
 use selsync_tracelog::{codec, Event, EventLog, TraceSink};
 use std::collections::HashMap;
@@ -32,7 +34,7 @@ use std::collections::HashMap;
 /// after that all-gather), this makes the policy's signal stream — and every
 /// threshold it produces — a pure function of the schedule, independent of thread
 /// interleaving.
-pub(crate) struct SignalBoard {
+struct SignalBoard {
     state: Mutex<BoardState>,
     cv: Condvar,
     /// The run's trace sink: regime switches are policy-internal transitions, visible
@@ -61,22 +63,20 @@ impl SignalBoard {
 
     /// Block until every active round before `iteration` has been observed (i.e. the
     /// policy state is exactly what the simulator's policy held entering that round).
-    pub(crate) fn wait_caught_up(&self, iteration: usize) {
+    fn wait_caught_up(&self, iteration: usize) -> MutexGuard<'_, BoardState> {
         let mut s = self.state.lock();
         while s.next_observe < iteration {
             self.cv.wait(&mut s);
         }
+        s
     }
 
     /// The δ in effect for the round at `iteration`. Blocks until the policy has
     /// observed every earlier active round; the round's own signals cannot have been
     /// observed yet (the observation is posted only after the round's status
     /// all-gather, which this call precedes on every present worker).
-    pub(crate) fn delta_for(&self, iteration: usize) -> f32 {
-        let mut s = self.state.lock();
-        while s.next_observe < iteration {
-            self.cv.wait(&mut s);
-        }
+    fn delta_for(&self, iteration: usize) -> f32 {
+        let s = self.wait_caught_up(iteration);
         assert_eq!(
             s.next_observe, iteration,
             "δ requested for a round whose signals were already observed"
@@ -87,7 +87,7 @@ impl SignalBoard {
     /// Ingest the completed round's cluster-level signals and advance the board to
     /// `next_round` (the next active round, or the iteration count). Called by exactly
     /// one worker per round — the lowest-ranked present one — strictly in round order.
-    pub(crate) fn observe(&self, signal: RoundSignal, next_round: usize) {
+    fn observe(&self, signal: RoundSignal, next_round: usize) {
         let mut s = self.state.lock();
         assert_eq!(
             s.next_observe, signal.iteration,
@@ -123,9 +123,9 @@ pub(crate) struct HubService {
     cfg: TrainConfig,
     /// The backend tag written into checkpoint images (`"threaded"`/`"process"`).
     tag: &'static str,
-    pub(crate) fingerprint: u64,
-    pub(crate) handles: ClusterHandles,
-    pub(crate) board: SignalBoard,
+    fingerprint: u64,
+    handles: ClusterHandles,
+    board: SignalBoard,
     /// The *base* effective membership schedule (scheduled crashes plus
     /// compiled comm-fault evictions); runtime death evictions layer on top in
     /// the ledger, never mutating this.
@@ -250,12 +250,61 @@ impl HubService {
         }
     }
 
+    /// Serve one call from `worker` at RPC round header `round` — the one place
+    /// an op meets the PS, the collectives, the signal board or the ledger.
+    pub(crate) fn call(&self, worker: usize, round: u64, call: HubCall) -> HubReply {
+        let ps = &self.handles.ps;
+        let collective = &self.handles.collective;
+        match call {
+            HubCall::Pull => HubReply::Vector(ps.pull()),
+            HubCall::ScheduledGlobalBefore => HubReply::Vector(ps.scheduled_global_before(round)),
+            HubCall::ScheduledRoundBefore => {
+                HubReply::Round(ps.scheduled_round_before(round).map(|r| r as usize))
+            }
+            HubCall::SyncRound(expected, params) => {
+                HubReply::Vector(ps.sync_round_elastic(round, worker, &params, expected))
+            }
+            HubCall::AllgatherFlags(flag, expected) => {
+                HubReply::Flags(collective.allgather_flags_among(round, worker, flag, expected))
+            }
+            HubCall::AllreduceScalar(op, expected, value) => HubReply::Scalar(
+                collective.allreduce_scalar_among(round, worker, value, expected, op),
+            ),
+            HubCall::AllreduceVec(op, expected, values) => HubReply::Vector(
+                collective.allreduce_vec_among(round, worker, values, expected, op),
+            ),
+            HubCall::WaitCaughtUp(round) => {
+                self.board.wait_caught_up(round);
+                HubReply::Done
+            }
+            HubCall::DeltaFor(round) => HubReply::Scalar(self.board.delta_for(round)),
+            HubCall::Observe(signal, next_round) => {
+                self.board.observe(signal, next_round);
+                HubReply::Done
+            }
+            HubCall::RoundBegin(round) => HubReply::Evictions(self.round_begin(worker, round)),
+            HubCall::Deposit {
+                round,
+                fingerprint,
+                section,
+                trace,
+            } => {
+                assert!(
+                    fingerprint == self.fingerprint && section.name == format!("worker{worker}"),
+                    "worker {worker}'s deposit belongs to another configuration or worker"
+                );
+                self.deposit(worker, round, section, trace);
+                HubReply::Done
+            }
+        }
+    }
+
     /// The round-boundary membership barrier. A present worker announces round
     /// `it` before any other traffic of the round; the call blocks until every
     /// base-present worker of the round has either announced it or died, then
     /// returns the eviction prefix frozen at the barrier's release — identical
     /// for every present worker of the round.
-    pub(crate) fn round_begin(&self, worker: usize, it: usize) -> Vec<(usize, usize)> {
+    fn round_begin(&self, worker: usize, it: usize) -> Vec<(usize, usize)> {
         let n = self.cfg.workers;
         let mut s = self.ledger.lock();
         assert!(!s.dead[worker], "dead worker {worker} announced round {it}");
@@ -292,9 +341,10 @@ impl HubService {
     /// exactly like a scheduled no-rejoin crash. A clean run reaches this
     /// after the worker's last round, where the search finds no remaining
     /// present round and schedules nothing.
-    pub(crate) fn worker_died(&self, worker: usize) {
+    fn worker_died(&self, worker: usize) {
         let mut s = self.ledger.lock();
-        if s.dead[worker] {
+        // Already dead, or a sender id outside the cluster.
+        if s.dead.get(worker) != Some(&false) {
             return;
         }
         s.dead[worker] = true;
@@ -311,7 +361,7 @@ impl HubService {
     /// Gather one worker's checkpoint deposit for round `it` and park the
     /// caller until the round's image is written (or voided by a death) — the
     /// worker resumes only past the quiescent point.
-    pub(crate) fn deposit(&self, worker: usize, it: usize, section: Section, trace: Vec<Event>) {
+    fn deposit(&self, worker: usize, it: usize, section: Section, trace: Vec<Event>) {
         let mut s = self.ledger.lock();
         assert!(
             s.ckpt_round.is_none_or(|r| r == it),
@@ -401,91 +451,52 @@ impl HubService {
     }
 }
 
-/// A worker thread's port into an in-process [`HubService`]: every op is a
-/// direct call on the shared hub.
+/// A worker thread's port into an in-process [`HubService`]: every call goes
+/// straight to [`HubService::call`], with two exceptions. The membership
+/// barrier answers at once with no evictions: threads cannot die apart from
+/// the process, so no death eviction ever exists and the barrier would only add
+/// a rendezvous. Deposits move their section into the hub as it is and carry no
+/// trace: the worker threads record into the hub's own sink.
 pub(crate) struct LocalPort<'a> {
     pub(crate) hub: &'a HubService,
     pub(crate) worker: usize,
 }
 
 impl ClusterPort for LocalPort<'_> {
-    fn pull(&self) -> Vec<f32> {
-        self.hub.handles.ps.pull()
+    fn call(&self, round: u64, call: HubCall) -> HubReply {
+        match call {
+            HubCall::RoundBegin(_) => HubReply::Evictions(Vec::new()),
+            call => self.hub.call(self.worker, round, call),
+        }
+    }
+}
+
+/// The hub side of the RPC surface: decode the payload, dispatch it through
+/// [`HubService::call`], encode the reply. Blocking rendezvous ops block the
+/// calling connection's hub thread, which is exactly the rendezvous behaviour
+/// worker threads get from blocking in-process calls.
+///
+/// Network input never panics the hub: a sender id outside the cluster is
+/// ignored, a payload that fails to decode counts as the sender's death (a
+/// deterministic eviction, like a dropped connection), and a worker already
+/// dead gets an empty reply to anything it still sends.
+impl RpcService for HubService {
+    fn handle(&self, worker: u32, round: u64, request: &[u8]) -> Vec<u8> {
+        let worker = worker as usize;
+        if self.ledger.lock().dead.get(worker) != Some(&false) {
+            return Vec::new();
+        }
+        match HubCall::decode(request) {
+            Ok(call) => self.call(worker, round, call).encode(),
+            Err(e) => {
+                eprintln!("hub: malformed request from worker {worker} ({e}); evicting it");
+                self.worker_died(worker);
+                Vec::new()
+            }
+        }
     }
 
-    fn scheduled_global_before(&self, round: usize) -> Vec<f32> {
-        self.hub.handles.ps.scheduled_global_before(round as u64)
-    }
-
-    fn scheduled_round_before(&self, round: usize) -> Option<usize> {
-        self.hub
-            .handles
-            .ps
-            .scheduled_round_before(round as u64)
-            .map(|r| r as usize)
-    }
-
-    fn sync_round(&self, round: usize, params: &[f32], expected: usize) -> Vec<f32> {
-        self.hub
-            .handles
-            .ps
-            .sync_round_elastic(round as u64, self.worker, params, expected)
-    }
-
-    fn allgather_flags(&self, round: usize, flag: bool, expected: usize) -> Vec<bool> {
-        self.hub
-            .handles
-            .collective
-            .allgather_flags_among(round as u64, self.worker, flag, expected)
-    }
-
-    fn allreduce_scalar(&self, round: usize, value: f32, expected: usize, op: ScalarOp) -> f32 {
-        self.hub.handles.collective.allreduce_scalar_among(
-            round as u64,
-            self.worker,
-            value,
-            expected,
-            op,
-        )
-    }
-
-    fn allreduce_vec(
-        &self,
-        round: usize,
-        values: Vec<f32>,
-        expected: usize,
-        op: ScalarOp,
-    ) -> Vec<f32> {
-        self.hub.handles.collective.allreduce_vec_among(
-            round as u64,
-            self.worker,
-            values,
-            expected,
-            op,
-        )
-    }
-
-    fn wait_caught_up(&self, round: usize) {
-        self.hub.board.wait_caught_up(round);
-    }
-
-    fn delta_for(&self, round: usize) -> f32 {
-        self.hub.board.delta_for(round)
-    }
-
-    fn observe(&self, signal: RoundSignal, next_round: usize) {
-        self.hub.board.observe(signal, next_round);
-    }
-
-    /// Threads cannot die apart from the process, so no death eviction ever
-    /// exists and the membership barrier would only add a rendezvous.
-    fn round_begin(&self, _round: usize) -> Vec<(usize, usize)> {
-        Vec::new()
-    }
-
-    /// The section moves into the hub as it is; the events are already in the
-    /// hub's sink, which the worker threads share.
-    fn deposit(&self, round: usize, section: Section) {
-        self.hub.deposit(self.worker, round, section, Vec::new());
+    fn connection_closed(&self, worker: u32) {
+        self.worker_died(worker as usize);
     }
 }

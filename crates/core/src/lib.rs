@@ -57,6 +57,7 @@ pub mod checkpoint;
 pub mod conditions;
 pub mod config;
 mod hub;
+pub mod hubcall;
 pub mod policy;
 pub mod process;
 pub mod report;

@@ -21,8 +21,10 @@
 //!   frames verbatim, so retry/dedupe/eviction semantics — and the
 //!   [`crate::config::TrainConfig::comm_faults`] weather composed *over* the
 //!   socket — are bit-identical to the in-memory transports), or
-//! * a blocking RPC ([`selsync_comm::HubClient`]) that the hub's
-//!   [`RpcService`] dispatches to the very call an in-process worker makes.
+//! * a blocking RPC ([`selsync_comm::HubClient`]) whose payload is the encoded
+//!   [`HubCall`]; the hub decodes it and serves it through the very dispatcher
+//!   an in-process worker calls. A payload that fails to decode counts as the
+//!   sender's death, so no input from the network can panic the hub.
 //!
 //! Worker-order folds, round-keyed rendezvous and the board's round-ordered
 //! observation stream are all hub-side, so the multi-process cluster's
@@ -39,7 +41,7 @@
 //!
 //! **Durable checkpoints.** At every due round each live worker ships its
 //! recovery section and trace-shard prefix to the hub as one RPC deposit
-//! (`op::CKPT_DEPOSIT`) and parks; once every deposit is in, the hub writes the
+//! ([`HubCall::Deposit`]) and parks; once every deposit is in, the hub writes the
 //! image — the threaded driver's layout, tagged `"process"` — and releases the
 //! cluster. Either real backend resumes either tag, and [`crate::resume`]
 //! translates to and from the simulator's layout, so a run checkpointed on one
@@ -48,7 +50,7 @@
 //! **Worker death.** A connection that terminates after identification —
 //! clean EOF or broken pipe alike — is mapped by the hub to a deterministic
 //! eviction at the dead worker's next scheduled-present round, published to
-//! the survivors through the per-round `op::ROUND_BEGIN` barrier: every
+//! the survivors through the per-round [`HubCall::RoundBegin`] barrier: every
 //! present worker of a round folds the identical frozen eviction prefix, so
 //! membership stays a pure function of the round and the surviving cluster
 //! continues exactly as if the schedule had carried a no-rejoin crash at that
@@ -61,330 +63,37 @@
 //! [`UnsupportedConfig`] from [`ensure_supported`], so orchestrators print a
 //! one-line diagnosis instead of surfacing an opaque child panic.
 
-use crate::checkpoint::{config_fingerprint, Checkpoint, Section};
+use crate::checkpoint::Checkpoint;
 use crate::config::{AlgorithmSpec, TrainConfig};
 use crate::hub::HubService;
-use crate::policy::{PolicySpec, RoundSignal};
+use crate::hubcall::{HubCall, HubReply};
+use crate::policy::PolicySpec;
 use crate::threaded::ThreadedWorkerReport;
 use crate::worker::{message_layer, run_worker, ClusterPort, WorkerSetup};
-use selsync_comm::socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn};
-use selsync_comm::ScalarOp;
+use selsync_comm::socket::{HubClient, HubServer, SocketAddrSpec, SocketConn};
 use selsync_nn::model::PaperModel;
-use selsync_tracelog::{codec, TraceSink};
+use selsync_tracelog::TraceSink;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// How long a worker keeps retrying its initial connect while the hub binds.
 pub const CONNECT_RETRY: Duration = Duration::from_secs(30);
 
-/// RPC operation tags (first payload byte; arguments follow, little-endian).
-mod op {
-    pub const PULL: u8 = 1;
-    pub const SCHED_GLOBAL_BEFORE: u8 = 2;
-    pub const SCHED_ROUND_BEFORE: u8 = 3;
-    pub const SYNC_ROUND: u8 = 4;
-    pub const ALLGATHER_FLAGS: u8 = 5;
-    pub const ALLREDUCE_SCALAR: u8 = 6;
-    pub const ALLREDUCE_VEC: u8 = 7;
-    pub const BOARD_WAIT_CAUGHT_UP: u8 = 8;
-    pub const BOARD_DELTA_FOR: u8 = 9;
-    pub const BOARD_OBSERVE: u8 = 10;
-    pub const ROUND_BEGIN: u8 = 11;
-    pub const CKPT_DEPOSIT: u8 = 12;
-}
-
-fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
-    values.iter().flat_map(|v| v.to_le_bytes()).collect()
-}
-
-fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
-    assert!(bytes.len().is_multiple_of(4), "f32 payload length");
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-fn scalar_op_tag(op: ScalarOp) -> u8 {
-    match op {
-        ScalarOp::Sum => 0,
-        ScalarOp::Mean => 1,
-        ScalarOp::Max => 2,
-    }
-}
-
-fn scalar_op_from_tag(tag: u8) -> ScalarOp {
-    match tag {
-        0 => ScalarOp::Sum,
-        1 => ScalarOp::Mean,
-        2 => ScalarOp::Max,
-        other => panic!("unknown scalar-op tag {other}"),
-    }
-}
-
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
-}
-
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
-}
-
-fn read_f32(bytes: &[u8], at: usize) -> f32 {
-    f32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
-}
-
-/// Reply wire shape of `op::ROUND_BEGIN`: count, then `(worker, round)` pairs.
-fn encode_evictions(evictions: &[(usize, usize)]) -> Vec<u8> {
-    let mut out = (evictions.len() as u32).to_le_bytes().to_vec();
-    for &(worker, round) in evictions {
-        out.extend((worker as u32).to_le_bytes());
-        out.extend((round as u64).to_le_bytes());
-    }
-    out
-}
-
-/// The hub side of the RPC surface: decodes each worker request into the call
-/// an in-process worker makes on the same [`HubService`]. Blocking rendezvous
-/// ops block the calling connection's hub thread, which is exactly the
-/// rendezvous behaviour worker threads get from blocking in-process calls.
-impl RpcService for HubService {
-    fn handle(&self, worker: u32, round: u64, request: &[u8]) -> Vec<u8> {
-        let worker = worker as usize;
-        let args = &request[1..];
-        match request[0] {
-            op::PULL => f32s_to_bytes(&self.handles.ps.pull()),
-            op::SCHED_GLOBAL_BEFORE => {
-                f32s_to_bytes(&self.handles.ps.scheduled_global_before(round))
-            }
-            op::SCHED_ROUND_BEFORE => match self.handles.ps.scheduled_round_before(round) {
-                Some(r) => {
-                    let mut out = vec![1u8];
-                    out.extend_from_slice(&r.to_le_bytes());
-                    out
-                }
-                None => vec![0u8],
-            },
-            op::SYNC_ROUND => {
-                let expected = read_u32(args, 0) as usize;
-                let params = bytes_to_f32s(&args[4..]);
-                f32s_to_bytes(
-                    &self
-                        .handles
-                        .ps
-                        .sync_round_elastic(round, worker, &params, expected),
-                )
-            }
-            op::ALLGATHER_FLAGS => {
-                let flag = args[0] != 0;
-                let expected = read_u32(args, 1) as usize;
-                self.handles
-                    .collective
-                    .allgather_flags_among(round, worker, flag, expected)
-                    .into_iter()
-                    .map(u8::from)
-                    .collect()
-            }
-            op::ALLREDUCE_SCALAR => {
-                let op = scalar_op_from_tag(args[0]);
-                let expected = read_u32(args, 1) as usize;
-                let value = read_f32(args, 5);
-                self.handles
-                    .collective
-                    .allreduce_scalar_among(round, worker, value, expected, op)
-                    .to_le_bytes()
-                    .to_vec()
-            }
-            op::ALLREDUCE_VEC => {
-                let op = scalar_op_from_tag(args[0]);
-                let expected = read_u32(args, 1) as usize;
-                let values = bytes_to_f32s(&args[5..]);
-                f32s_to_bytes(
-                    &self
-                        .handles
-                        .collective
-                        .allreduce_vec_among(round, worker, values, expected, op),
-                )
-            }
-            op::BOARD_WAIT_CAUGHT_UP => {
-                self.board.wait_caught_up(read_u64(args, 0) as usize);
-                Vec::new()
-            }
-            op::BOARD_DELTA_FOR => self
-                .board
-                .delta_for(read_u64(args, 0) as usize)
-                .to_le_bytes()
-                .to_vec(),
-            op::BOARD_OBSERVE => {
-                let signal = RoundSignal {
-                    iteration: read_u64(args, 0) as usize,
-                    max_delta: read_f32(args, 8),
-                    mean_loss: read_f32(args, 12),
-                    delta_mean: read_f32(args, 16),
-                    delta_sq_mean: read_f32(args, 20),
-                    synced: args[24] != 0,
-                };
-                let next_round = read_u64(args, 25) as usize;
-                self.board.observe(signal, next_round);
-                Vec::new()
-            }
-            op::ROUND_BEGIN => {
-                encode_evictions(&self.round_begin(worker, read_u64(args, 0) as usize))
-            }
-            op::CKPT_DEPOSIT => {
-                let it = read_u64(args, 0) as usize;
-                let image =
-                    std::str::from_utf8(&args[8..]).expect("checkpoint deposit payload is UTF-8");
-                let deposit = Checkpoint::decode(image).unwrap_or_else(|e| {
-                    panic!("worker {worker}'s checkpoint deposit fails to decode: {e}")
-                });
-                assert_eq!(deposit.backend, "deposit", "worker {worker}'s deposit tag");
-                assert_eq!(deposit.round, it, "worker {worker}'s deposit round");
-                assert_eq!(
-                    deposit.fingerprint, self.fingerprint,
-                    "worker {worker}'s deposit belongs to a different configuration"
-                );
-                let name = format!("worker{worker}");
-                let section = deposit
-                    .sections
-                    .into_iter()
-                    .find(|section| section.name == name)
-                    .unwrap_or_else(|| panic!("worker {worker}'s deposit is missing its section"));
-                let trace = deposit
-                    .trace
-                    .iter()
-                    .map(|line| codec::decode_event(line).expect("deposited trace line decodes"))
-                    .collect();
-                self.deposit(worker, it, section, trace);
-                Vec::new()
-            }
-            other => panic!("unknown rpc op {other} from worker {worker}"),
-        }
-    }
-
-    fn connection_closed(&self, worker: u32) {
-        self.worker_died(worker as usize);
-    }
-}
-
-/// Worker-side port into the hub process: each op is one blocking RPC whose
-/// argument shape matches the in-process call it stands in for.
+/// Worker-side port into the hub process: each call is one blocking RPC
+/// whose payload is the call's encoding.
 struct RemoteCluster {
     client: HubClient,
-    fingerprint: u64,
     /// This worker's trace shard, shipped with each checkpoint deposit.
     trace: TraceSink,
 }
 
-impl RemoteCluster {
-    fn request(&self, round: u64, op: u8, args: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(1 + args.len());
-        payload.push(op);
-        payload.extend_from_slice(args);
-        self.client.rpc(round, payload)
-    }
-}
-
 impl ClusterPort for RemoteCluster {
-    fn pull(&self) -> Vec<f32> {
-        bytes_to_f32s(&self.request(u64::MAX, op::PULL, &[]))
-    }
-
-    fn scheduled_global_before(&self, round: usize) -> Vec<f32> {
-        bytes_to_f32s(&self.request(round as u64, op::SCHED_GLOBAL_BEFORE, &[]))
-    }
-
-    fn scheduled_round_before(&self, round: usize) -> Option<usize> {
-        let reply = self.request(round as u64, op::SCHED_ROUND_BEFORE, &[]);
-        (reply[0] != 0).then(|| read_u64(&reply, 1) as usize)
-    }
-
-    fn sync_round(&self, round: usize, params: &[f32], expected: usize) -> Vec<f32> {
-        let mut args = (expected as u32).to_le_bytes().to_vec();
-        args.extend(f32s_to_bytes(params));
-        bytes_to_f32s(&self.request(round as u64, op::SYNC_ROUND, &args))
-    }
-
-    fn allgather_flags(&self, round: usize, flag: bool, expected: usize) -> Vec<bool> {
-        let mut args = vec![flag as u8];
-        args.extend((expected as u32).to_le_bytes());
-        self.request(round as u64, op::ALLGATHER_FLAGS, &args)
-            .into_iter()
-            .map(|b| b != 0)
-            .collect()
-    }
-
-    fn allreduce_scalar(&self, round: usize, value: f32, expected: usize, op_: ScalarOp) -> f32 {
-        let mut args = vec![scalar_op_tag(op_)];
-        args.extend((expected as u32).to_le_bytes());
-        args.extend(value.to_le_bytes());
-        read_f32(&self.request(round as u64, op::ALLREDUCE_SCALAR, &args), 0)
-    }
-
-    fn allreduce_vec(
-        &self,
-        round: usize,
-        values: Vec<f32>,
-        expected: usize,
-        op_: ScalarOp,
-    ) -> Vec<f32> {
-        let mut args = vec![scalar_op_tag(op_)];
-        args.extend((expected as u32).to_le_bytes());
-        args.extend(f32s_to_bytes(&values));
-        bytes_to_f32s(&self.request(round as u64, op::ALLREDUCE_VEC, &args))
-    }
-
-    fn wait_caught_up(&self, round: usize) {
-        let round = round as u64;
-        self.request(round, op::BOARD_WAIT_CAUGHT_UP, &round.to_le_bytes());
-    }
-
-    fn delta_for(&self, round: usize) -> f32 {
-        let round = round as u64;
-        read_f32(
-            &self.request(round, op::BOARD_DELTA_FOR, &round.to_le_bytes()),
-            0,
-        )
-    }
-
-    fn observe(&self, signal: RoundSignal, next_round: usize) {
-        let mut args = (signal.iteration as u64).to_le_bytes().to_vec();
-        args.extend(signal.max_delta.to_le_bytes());
-        args.extend(signal.mean_loss.to_le_bytes());
-        args.extend(signal.delta_mean.to_le_bytes());
-        args.extend(signal.delta_sq_mean.to_le_bytes());
-        args.push(signal.synced as u8);
-        args.extend((next_round as u64).to_le_bytes());
-        self.request(signal.iteration as u64, op::BOARD_OBSERVE, &args);
-    }
-
-    fn round_begin(&self, round: usize) -> Vec<(usize, usize)> {
-        let round = round as u64;
-        let reply = self.request(round, op::ROUND_BEGIN, &round.to_le_bytes());
-        let count = read_u32(&reply, 0) as usize;
-        (0..count)
-            .map(|i| {
-                let at = 4 + i * 12;
-                (
-                    read_u32(&reply, at) as usize,
-                    read_u64(&reply, at + 4) as usize,
-                )
-            })
-            .collect()
-    }
-
-    /// The deposit crosses the socket as an encoded `"deposit"` image carrying
-    /// the section and this worker's trace shard so far.
-    fn deposit(&self, round: usize, section: Section) {
-        let mut deposit = Checkpoint::new("deposit", self.fingerprint, round);
-        deposit.add_section(section);
-        if self.trace.is_enabled() {
-            let log = self.trace.snapshot_log();
-            deposit.trace = log.events.iter().map(codec::encode_event).collect();
+    fn call(&self, round: u64, mut call: HubCall) -> HubReply {
+        if let HubCall::Deposit { trace, .. } = &mut call {
+            *trace = self.trace.snapshot_log().events;
         }
-        let mut args = (round as u64).to_le_bytes().to_vec();
-        args.extend_from_slice(deposit.encode().as_bytes());
-        self.request(round as u64, op::CKPT_DEPOSIT, &args);
+        let reply = self.client.rpc(round, call.encode());
+        HubReply::decode(&call, &reply).unwrap_or_else(|e| panic!("malformed hub reply: {e}"))
     }
 }
 
@@ -527,7 +236,6 @@ pub fn run_process_worker_with(
     let layer = message_layer(cfg, Box::new(conn.transport()));
     let port = RemoteCluster {
         client: conn.client(worker as u32),
-        fingerprint: config_fingerprint(cfg),
         trace: cfg.trace.clone(),
     };
     let report = run_worker(
@@ -949,6 +657,191 @@ mod tests {
         let mut c = cfg(0.05, 3);
         c.algorithm = AlgorithmSpec::Bsp;
         assert!(ensure_supported(&c).is_ok());
+    }
+
+    /// Little-endian bytes of `values`: the wire form of every f32 vector.
+    fn le_f32s(values: &[f32]) -> Vec<u8> {
+        values.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    /// The hub configuration of the golden RPC exchange: two workers, SelSync at
+    /// δ = 0.05, scheduled rejoin pulls (so the snapshot ring answers).
+    fn golden_cfg() -> TrainConfig {
+        let mut c = cfg(0.05, 2);
+        c.rejoin_pull = crate::config::RejoinPull::Scheduled;
+        c
+    }
+
+    /// The RPC byte format, one `(round header, request payload, reply payload)`
+    /// per exchange, in the order a hub of [`golden_cfg`] answers them for
+    /// worker 0 after worker 1 hung up before round 0. Every one of the twelve
+    /// ops appears at least once; vectors are `le_f32s` of the model-sized
+    /// values, everything else is literal.
+    fn golden_rpc_table(c: &TrainConfig) -> Vec<(u64, Vec<u8>, Vec<u8>)> {
+        use crate::checkpoint::{config_fingerprint, Checkpoint, Section};
+        let proto = PaperModel::build(c.model, c.seed);
+        let init = le_f32s(&proto.params_flat());
+        let pushed: Vec<f32> = (0..proto.param_count()).map(|i| i as f32 * 0.5).collect();
+        let pushed = le_f32s(&pushed);
+        let cat = |parts: &[&[u8]]| parts.concat();
+        let mut deposit = Checkpoint::new("deposit", config_fingerprint(c), 0);
+        deposit.add_section(Section::new("worker0"));
+        let observe: &[u8] = &[
+            10, // op
+            0, 0, 0, 0, 0, 0, 0, 0, // iteration (u64)
+            0x00, 0x00, 0x80, 0x3f, // max_delta 1.0
+            0x00, 0x00, 0x00, 0x40, // mean_loss 2.0
+            0x00, 0x00, 0x00, 0xbf, // delta_mean -0.5
+            0x00, 0x00, 0x80, 0x3e, // delta_sq_mean 0.25
+            1,    // synced
+            1, 0, 0, 0, 0, 0, 0, 0, // next_round (u64)
+        ];
+        vec![
+            // PULL (the round header is unused: u64::MAX).
+            (u64::MAX, vec![1], init.clone()),
+            // ROUND_BEGIN 0: one eviction, (worker 1 as u32, round 0 as u64).
+            (
+                0,
+                vec![11, 0, 0, 0, 0, 0, 0, 0, 0],
+                vec![1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            // BOARD_WAIT_CAUGHT_UP 0.
+            (0, vec![8, 0, 0, 0, 0, 0, 0, 0, 0], vec![]),
+            // BOARD_DELTA_FOR 0: δ = 0.05f32.
+            (
+                0,
+                vec![9, 0, 0, 0, 0, 0, 0, 0, 0],
+                vec![0xcd, 0xcc, 0x4c, 0x3d],
+            ),
+            // ALLGATHER_FLAGS: flag 1, expected 1 → the full-width gather.
+            (0, vec![5, 1, 1, 0, 0, 0], vec![1, 0]),
+            // ALLREDUCE_SCALAR: Max, expected 1, value 1.5.
+            (
+                0,
+                vec![6, 2, 1, 0, 0, 0, 0x00, 0x00, 0xc0, 0x3f],
+                vec![0x00, 0x00, 0xc0, 0x3f],
+            ),
+            // ALLREDUCE_VEC: Mean, expected 1, [-0.0, 2.0] → [0.0, 2.0].
+            (
+                0,
+                vec![7, 1, 1, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0x40],
+                vec![0, 0, 0, 0, 0, 0, 0, 0x40],
+            ),
+            // SCHED_ROUND_BEFORE 0: no synchronization yet.
+            (0, vec![3], vec![0]),
+            // SCHED_GLOBAL_BEFORE 0: the initial global.
+            (0, vec![2], init),
+            // SYNC_ROUND 0: expected 1, then the parameters.
+            (0, cat(&[&[4, 1, 0, 0, 0], &pushed]), pushed.clone()),
+            // BOARD_OBSERVE round 0 → next round 1.
+            (0, observe.to_vec(), vec![]),
+            // SCHED_ROUND_BEFORE 1: round 0 synchronized.
+            (1, vec![3], vec![1, 0, 0, 0, 0, 0, 0, 0, 0]),
+            // SCHED_GLOBAL_BEFORE 1: round 0's global.
+            (1, vec![2], pushed.clone()),
+            // PULL after the synchronization.
+            (u64::MAX, vec![1], pushed),
+            // CKPT_DEPOSIT 0: round, then the encoded "deposit" image.
+            (
+                0,
+                cat(&[&[12, 0, 0, 0, 0, 0, 0, 0, 0], deposit.encode().as_bytes()]),
+                vec![],
+            ),
+        ]
+    }
+
+    #[test]
+    fn hub_rpc_bytes_are_pinned_for_every_op() {
+        use selsync_comm::socket::RpcService;
+        let c = golden_cfg();
+        let hub = crate::hub::HubService::new(&c, &PaperModel::build(c.model, c.seed), None, "t");
+        hub.connection_closed(1);
+        let table = golden_rpc_table(&c);
+        let mut ops: Vec<u8> = table.iter().map(|(_, request, _)| request[0]).collect();
+        ops.sort_unstable();
+        ops.dedup();
+        assert_eq!(ops, (1..=12).collect::<Vec<u8>>(), "every op is pinned");
+        for (round, request, reply) in table {
+            assert_eq!(
+                hub.handle(0, round, &request),
+                reply,
+                "reply to op {} at round header {round}",
+                request[0]
+            );
+        }
+    }
+
+    /// The typed codec writes exactly the pinned bytes: every golden exchange
+    /// as a `HubCall` and its `HubReply`, encoded, and decoded back from the
+    /// golden bytes.
+    #[test]
+    fn typed_hub_calls_encode_to_the_pinned_bytes() {
+        use crate::checkpoint::{config_fingerprint, Section};
+        use crate::policy::RoundSignal;
+        use selsync_comm::ScalarOp;
+        let c = golden_cfg();
+        let proto = PaperModel::build(c.model, c.seed);
+        let init = proto.params_flat();
+        let pushed: Vec<f32> = (0..proto.param_count()).map(|i| i as f32 * 0.5).collect();
+        let signal = RoundSignal {
+            iteration: 0,
+            max_delta: 1.0,
+            mean_loss: 2.0,
+            delta_mean: -0.5,
+            delta_sq_mean: 0.25,
+            synced: true,
+        };
+        let typed = vec![
+            (HubCall::Pull, HubReply::Vector(init.clone())),
+            (HubCall::RoundBegin(0), HubReply::Evictions(vec![(1, 0)])),
+            (HubCall::WaitCaughtUp(0), HubReply::Done),
+            (HubCall::DeltaFor(0), HubReply::Scalar(0.05)),
+            (
+                HubCall::AllgatherFlags(true, 1),
+                HubReply::Flags(vec![true, false]),
+            ),
+            (
+                HubCall::AllreduceScalar(ScalarOp::Max, 1, 1.5),
+                HubReply::Scalar(1.5),
+            ),
+            (
+                HubCall::AllreduceVec(ScalarOp::Mean, 1, vec![-0.0, 2.0]),
+                HubReply::Vector(vec![0.0, 2.0]),
+            ),
+            (HubCall::ScheduledRoundBefore, HubReply::Round(None)),
+            (HubCall::ScheduledGlobalBefore, HubReply::Vector(init)),
+            (
+                HubCall::SyncRound(1, pushed.clone()),
+                HubReply::Vector(pushed.clone()),
+            ),
+            (HubCall::Observe(signal, 1), HubReply::Done),
+            (HubCall::ScheduledRoundBefore, HubReply::Round(Some(0))),
+            (
+                HubCall::ScheduledGlobalBefore,
+                HubReply::Vector(pushed.clone()),
+            ),
+            (HubCall::Pull, HubReply::Vector(pushed)),
+            (
+                HubCall::Deposit {
+                    round: 0,
+                    fingerprint: config_fingerprint(&c),
+                    section: Section::new("worker0"),
+                    trace: Vec::new(),
+                },
+                HubReply::Done,
+            ),
+        ];
+        let table = golden_rpc_table(&c);
+        assert_eq!(table.len(), typed.len());
+        for ((_, request, reply), (call, answer)) in table.iter().zip(&typed) {
+            let op = request[0];
+            assert!(call.encode() == *request, "request bytes of op {op}");
+            assert!(answer.encode() == *reply, "reply bytes of op {op}");
+            let decoded = HubCall::decode(request).expect("golden request decodes");
+            assert!(decoded.encode() == *request, "op {op} re-encodes");
+            let back = HubReply::decode(&decoded, reply).expect("golden reply decodes");
+            assert!(back == *answer, "reply of op {op} decodes");
+        }
     }
 
     #[test]

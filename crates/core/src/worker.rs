@@ -10,9 +10,10 @@
 //! positions (each worker seeks its model's stochastic layers to the canonical
 //! global forward index, a pure function of the fault schedule).
 
-use crate::checkpoint::{Checkpoint, Section};
+use crate::checkpoint::{config_fingerprint, Checkpoint, Section};
 use crate::conditions::{ClusterConditions, FaultEvent};
 use crate::config::{RejoinPull, TrainConfig};
+use crate::hubcall::{HubCall, HubReply, NO_ROUND};
 use crate::policy::{RoundSignal, SyncPolicy};
 use crate::sim;
 use crate::threaded::ThreadedWorkerReport;
@@ -26,41 +27,12 @@ use selsync_nn::model::PaperModel;
 use selsync_nn::OptimizerState;
 use selsync_tracelog::{Event, PullKind};
 
-/// A worker's view of the hub's shared state. Rounds key every rendezvous, so
-/// skipping rounds (crash windows) is safe; worker-order folds happen hub-side.
+/// A worker's carrier to the hub's shared state: each op is one [`HubCall`]
+/// at RPC round header `round`, answered as the hub's `HubService::call`
+/// answers it. Rounds key every rendezvous, so skipping rounds (crash windows)
+/// is safe; worker-order folds happen hub-side.
 pub(crate) trait ClusterPort {
-    /// The PS's current global vector.
-    fn pull(&self) -> Vec<f32>;
-    /// The global of the last scheduled synchronization before `round`.
-    fn scheduled_global_before(&self, round: usize) -> Vec<f32>;
-    /// The round that global came from, if any synchronization preceded `round`.
-    fn scheduled_round_before(&self, round: usize) -> Option<usize>;
-    /// Push `params` into the elastic PS round and pull the worker-order average.
-    fn sync_round(&self, round: usize, params: &[f32], expected: usize) -> Vec<f32>;
-    /// The full-width status all-gather among `expected` present workers.
-    fn allgather_flags(&self, round: usize, flag: bool, expected: usize) -> Vec<bool>;
-    /// Worker-order scalar all-reduce among `expected` present workers.
-    fn allreduce_scalar(&self, round: usize, value: f32, expected: usize, op: ScalarOp) -> f32;
-    /// Worker-order elementwise all-reduce among `expected` present workers.
-    fn allreduce_vec(
-        &self,
-        round: usize,
-        values: Vec<f32>,
-        expected: usize,
-        op: ScalarOp,
-    ) -> Vec<f32>;
-    /// Block until the policy has observed every active round before `round`.
-    fn wait_caught_up(&self, round: usize);
-    /// The shared policy's δ for `round`.
-    fn delta_for(&self, round: usize) -> f32;
-    /// Post a round's cluster signal and advance the board to `next_round`.
-    fn observe(&self, signal: RoundSignal, next_round: usize);
-    /// Announce `round` at its boundary and return the hub's frozen prefix of
-    /// death evictions as `(worker, first-absent round)` pairs.
-    fn round_begin(&self, round: usize) -> Vec<(usize, usize)>;
-    /// Hand the hub this worker's recovery section for the checkpoint after
-    /// `round` and block until the image is written (or voided).
-    fn deposit(&self, round: usize, section: Section);
+    fn call(&self, round: u64, call: HubCall) -> HubReply;
 }
 
 /// The message layer a worker's control-plane envelopes ride over `transport`:
@@ -94,6 +66,8 @@ pub(crate) struct WorkerSetup {
     /// runs, because its round-ordered advancement is also what tells a
     /// scheduled rejoin pull that the snapshot ring is complete.
     exchange_signals: bool,
+    /// The run's configuration fingerprint, stamped on checkpoint deposits.
+    fingerprint: u64,
 }
 
 impl WorkerSetup {
@@ -110,6 +84,7 @@ impl WorkerSetup {
             evictions: cfg.comm_fault_evictions(),
             ps_schedule: cfg.ps_fault_schedule(),
             exchange_signals: spec.consumes_round_signals(),
+            fingerprint: config_fingerprint(cfg),
         }
     }
 }
@@ -139,7 +114,7 @@ pub(crate) fn run_worker<P: ClusterPort>(
 
     let mut model = PaperModel::build(cfg.model, cfg.seed);
     // Every worker starts from the global state on the PS (pullFromPS, Alg. 1 line 3).
-    let mut params = port.pull();
+    let mut params = port.call(NO_ROUND, HubCall::Pull).vector();
     model.set_params_flat(&params);
     // The simulator's circular traversal over this worker's data: its shuffled
     // IID partition, or its label shard on non-IID runs.
@@ -235,9 +210,11 @@ pub(crate) fn run_worker<P: ClusterPort>(
             return false;
         }
         if ck.due(it) || ck.halt_after == Some(it) {
-            port.deposit(
-                it,
-                worker_section(
+            // The port attaches the trace shard, if its worker keeps its own.
+            let deposit = HubCall::Deposit {
+                round: it,
+                fingerprint: setup.fingerprint,
+                section: worker_section(
                     worker,
                     params,
                     optimizer,
@@ -246,13 +223,16 @@ pub(crate) fn run_worker<P: ClusterPort>(
                     sync_rounds,
                     last_loss,
                 ),
-            );
+                trace: Vec::new(),
+            };
+            port.call(it as u64, deposit);
         }
         ck.halt_after == Some(it)
     };
 
     let mut killed = false;
     for it in start..cfg.iterations {
+        let round = it as u64;
         if kill_at == Some(it) {
             // Abrupt death: no announce, no farewell — the connection drops at
             // a frame boundary and the hub maps it to an eviction.
@@ -265,7 +245,7 @@ pub(crate) fn run_worker<P: ClusterPort>(
             // keeps the forward counter a pure function of the (now extended)
             // fault schedule — evictions can land at rounds this worker sat
             // out, where it never saw a barrier.
-            let evs = port.round_begin(it);
+            let evs = port.call(round, HubCall::RoundBegin(it)).evictions();
             if evs.len() > known_evictions {
                 for &(w, r) in &evs[known_evictions..] {
                     conditions = conditions.with_fault(FaultEvent::Crash {
@@ -330,15 +310,15 @@ pub(crate) fn run_worker<P: ClusterPort>(
                 exchange(it, MsgKind::Pull, &(it as u64).to_le_bytes());
             }
             params = match cfg.rejoin_pull {
-                RejoinPull::WallClock => port.pull(),
+                RejoinPull::WallClock => port.call(NO_ROUND, HubCall::Pull).vector(),
                 RejoinPull::Scheduled => {
                     // Wait until every active round before the rejoin has fully
                     // decided (the board advances only after a round's sync, so
                     // the ring then holds every scheduled global this lookup can
                     // need), then pull the last scheduled synchronization's
                     // global — the simulator's `global` entering this round.
-                    port.wait_caught_up(it);
-                    port.scheduled_global_before(it)
+                    port.call(round, HubCall::WaitCaughtUp(it));
+                    port.call(round, HubCall::ScheduledGlobalBefore).vector()
                 }
             };
             if cfg.trace.is_enabled() {
@@ -347,7 +327,10 @@ pub(crate) fn run_worker<P: ClusterPort>(
                 // have a timing-dependent source, recorded as `None` on every
                 // backend so the logs stay byte-comparable.
                 let (pull, from) = match cfg.rejoin_pull {
-                    RejoinPull::Scheduled => (PullKind::Scheduled, port.scheduled_round_before(it)),
+                    RejoinPull::Scheduled => (
+                        PullKind::Scheduled,
+                        port.call(round, HubCall::ScheduledRoundBefore).round(),
+                    ),
                     RejoinPull::WallClock => (PullKind::WallClock, None),
                 };
                 cfg.trace.record(Event::RejoinPull {
@@ -395,11 +378,11 @@ pub(crate) fn run_worker<P: ClusterPort>(
                 matches!(probe, Err(PsExchangeError::Down { .. })),
                 "the PS availability schedule and the layer's gate disagree at round {it}"
             );
-            let sync_policy = SyncPolicy::new(port.delta_for(it));
+            let sync_policy = SyncPolicy::new(port.call(round, HubCall::DeltaFor(it)).scalar());
             // A rendezvous that keeps the board's round-ordered observe behind
             // every present worker's δ fetch, exactly like the status all-gather
             // does on reachable rounds.
-            port.allgather_flags(it, false, active);
+            port.call(round, HubCall::AllgatherFlags(false, active));
             counter.record_local();
             if rank == 0 {
                 if cfg.trace.is_enabled() {
@@ -417,17 +400,16 @@ pub(crate) fn run_worker<P: ClusterPort>(
                         delta_g,
                     });
                 }
-                port.observe(
-                    RoundSignal {
-                        iteration: it,
-                        max_delta: delta_g,
-                        mean_loss: stats.loss,
-                        delta_mean: delta_g,
-                        delta_sq_mean: delta_g * delta_g,
-                        synced: false,
-                    },
-                    conditions.next_active_iteration(n, it + 1, cfg.iterations),
-                );
+                let signal = RoundSignal {
+                    iteration: it,
+                    max_delta: delta_g,
+                    mean_loss: stats.loss,
+                    delta_mean: delta_g,
+                    delta_sq_mean: delta_g * delta_g,
+                    synced: false,
+                };
+                let next_round = conditions.next_active_iteration(n, it + 1, cfg.iterations);
+                port.call(round, HubCall::Observe(signal, next_round));
             }
             if end_of_round(
                 it,
@@ -466,10 +448,13 @@ pub(crate) fn run_worker<P: ClusterPort>(
             vec_payload[..4].copy_from_slice(&delta_g.to_le_bytes());
             vec_payload[4..].copy_from_slice(&(delta_g * delta_g).to_le_bytes());
             exchange(it, MsgKind::VecReduce, &vec_payload);
+            let moments = vec![delta_g, delta_g * delta_g];
+            let moments = HubCall::AllreduceVec(ScalarOp::Mean, active, moments);
+            let reduce = |op, value| port.call(round, HubCall::AllreduceScalar(op, active, value));
             (
-                port.allreduce_scalar(it, stats.loss, active, ScalarOp::Mean),
-                port.allreduce_scalar(it, delta_g, active, ScalarOp::Max),
-                port.allreduce_vec(it, vec![delta_g, delta_g * delta_g], active, ScalarOp::Mean),
+                reduce(ScalarOp::Mean, stats.loss).scalar(),
+                reduce(ScalarOp::Max, delta_g).scalar(),
+                port.call(round, moments).vector(),
             )
         } else {
             (stats.loss, delta_g, vec![delta_g, delta_g * delta_g])
@@ -477,7 +462,7 @@ pub(crate) fn run_worker<P: ClusterPort>(
 
         // This round's δ from the *shared* cluster policy (Phase 0 of the
         // simulator driver); blocks until all earlier rounds' signals are in.
-        let sync_policy = SyncPolicy::new(port.delta_for(it));
+        let sync_policy = SyncPolicy::new(port.call(round, HubCall::DeltaFor(it)).scalar());
 
         // 1-bit status all-gather followed by the cluster decision (lines 10–13),
         // restricted to the live workers of this iteration. A catch-up round
@@ -493,7 +478,9 @@ pub(crate) fn run_worker<P: ClusterPort>(
                 attempts,
             });
         }
-        let flags = port.allgather_flags(it, wants_sync, active);
+        let flags = port
+            .call(round, HubCall::AllgatherFlags(wants_sync, active))
+            .flags();
         let synced = flags.iter().any(|&f| f);
         if synced {
             // Push local parameters, pull the average (lines 14–15). The elastic
@@ -506,7 +493,9 @@ pub(crate) fn run_worker<P: ClusterPort>(
                 MsgKind::SyncRound,
                 &((params.len() * 4) as u64).to_le_bytes(),
             );
-            params = port.sync_round(it, &params, active);
+            params = port
+                .call(round, HubCall::SyncRound(active, params))
+                .vector();
             counter.record_sync();
             sync_rounds.push(it);
         } else {
@@ -549,17 +538,16 @@ pub(crate) fn run_worker<P: ClusterPort>(
             // and if the round synchronized, its global is already in the
             // snapshot ring, so a scheduled rejoin pull unblocked by this
             // observation finds everything it needs.
-            port.observe(
-                RoundSignal {
-                    iteration: it,
-                    max_delta: cluster_delta,
-                    mean_loss,
-                    delta_mean: moments[0],
-                    delta_sq_mean: moments[1],
-                    synced,
-                },
-                conditions.next_active_iteration(n, it + 1, cfg.iterations),
-            );
+            let signal = RoundSignal {
+                iteration: it,
+                max_delta: cluster_delta,
+                mean_loss,
+                delta_mean: moments[0],
+                delta_sq_mean: moments[1],
+                synced,
+            };
+            let next_round = conditions.next_active_iteration(n, it + 1, cfg.iterations);
+            port.call(round, HubCall::Observe(signal, next_round));
         }
         if end_of_round(
             it,
@@ -580,7 +568,7 @@ pub(crate) fn run_worker<P: ClusterPort>(
     let distance: f32 = if killed {
         f32::NAN
     } else {
-        let global = port.pull();
+        let global = port.call(NO_ROUND, HubCall::Pull).vector();
         params
             .iter()
             .zip(global.iter())

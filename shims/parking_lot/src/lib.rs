@@ -3,7 +3,8 @@
 //! Provides the panic-free-guard API shape (`lock()`/`read()`/`write()` return guards
 //! directly, `Condvar::wait` takes `&mut MutexGuard`) that the communication substrate
 //! uses. Lock poisoning is transparently ignored, matching parking_lot semantics: a
-//! panicking worker thread already propagates its panic through `run_cluster`.
+//! panicking worker thread already propagates its panic through the join of the driver
+//! that spawned it.
 
 use std::ops::{Deref, DerefMut};
 use std::sync;

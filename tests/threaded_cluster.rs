@@ -2,11 +2,9 @@
 //! 1-bit status all-gather must implement Alg. 1's coordination faithfully under actual
 //! concurrency.
 
-use selsync_repro::comm::{Collective, ParameterServer};
 use selsync_repro::core::config::{AlgorithmSpec, TrainConfig};
 use selsync_repro::core::threaded::run_threaded_selsync;
 use selsync_repro::nn::model::ModelKind;
-use std::sync::Arc;
 
 #[test]
 fn threaded_selsync_workers_agree_on_every_decision() {
@@ -43,62 +41,4 @@ fn threaded_bsp_keeps_replicas_identical_to_the_global_model() {
             r.distance_to_global
         );
     }
-}
-
-#[test]
-fn parameter_server_rounds_compose_with_collectives_under_contention() {
-    // A stress-style test mixing the status all-gather and PS rounds from many threads.
-    let n = 8;
-    let ps = Arc::new(ParameterServer::new(vec![0.0; 64]));
-    let coll = Arc::new(Collective::new(n));
-    let handles: Vec<_> = (0..n)
-        .map(|w| {
-            let ps = Arc::clone(&ps);
-            let coll = Arc::clone(&coll);
-            std::thread::spawn(move || {
-                let mut last = Vec::new();
-                for round in 0..50 {
-                    let flag = (w + round) % 3 == 0;
-                    let flags = coll.allgather_flags(w, flag);
-                    assert_eq!(flags.len(), n);
-                    if flags.iter().any(|&f| f) {
-                        let contribution = vec![(w + round) as f32; 64];
-                        last = ps.sync_round(&contribution, n);
-                    }
-                    coll.barrier(w);
-                }
-                last
-            })
-        })
-        .collect();
-    let results: Vec<Vec<f32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    // Every worker's last synchronized value must be identical.
-    for r in &results {
-        assert_eq!(r, &results[0]);
-    }
-}
-
-#[test]
-fn ssp_style_async_pushes_do_not_lose_updates() {
-    let n = 6;
-    let dim = 32;
-    let ps = Arc::new(ParameterServer::new(vec![0.0; dim]));
-    let handles: Vec<_> = (0..n)
-        .map(|w| {
-            let ps = Arc::clone(&ps);
-            std::thread::spawn(move || {
-                for _ in 0..100 {
-                    ps.push_delta(&vec![1.0; dim], 1.0);
-                }
-                let _ = ps.pull();
-                w
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let global = ps.pull();
-    // 6 workers x 100 pushes of +1 must all be applied (the RwLock serialises them).
-    assert!(global.iter().all(|&x| (x - 600.0).abs() < 1e-3));
 }
