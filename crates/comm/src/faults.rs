@@ -1,29 +1,31 @@
-//! Deterministic message-fault schedules for the transport layer.
+//! Deterministic link-weather and parameter-server availability schedules.
 //!
 //! A [`CommFaultSpec`] describes how unreliable the cluster's links are: per-leg
 //! probabilities of dropping, corrupting, duplicating and delaying a frame, plus the
 //! retry budget and the logical timeout that bounds every operation. A
 //! [`CommFaultSchedule`] turns the spec into a *pure function*: the fate of every
-//! message leg is a hash of `(seed, worker, round, attempt, leg)` — never of wall
-//! clocks, thread scheduling or message content — so a faulty run is exactly as
-//! deterministic as a lossless one, and both training backends (the sequential
-//! simulator and the thread-per-worker driver) derive identical fault histories
-//! without coordination.
+//! leg is a hash of `(seed, worker, round, attempt, leg)` — never of wall clocks,
+//! thread scheduling or message content — and an attempt succeeds when neither of
+//! its two legs (request, response) is dropped or corrupted. Duplicated and delayed
+//! legs still deliver, so `duplicate`, `delay` and `delay_rounds` are validated but
+//! never change an outcome.
 //!
-//! The fate key deliberately excludes the message *kind*: all envelopes a worker
-//! sends in one round share the same per-attempt "link weather". That is what makes
-//! per-round outcomes (retry counts, evictions) well-defined facts of the schedule
-//! rather than of how many envelopes an algorithm happens to send, and it is what
-//! the eviction compiler in `selsync-core` relies on to precompute membership.
+//! The fate key deliberately excludes the op: everything a worker sends in one
+//! round shares the same per-attempt "link weather". That makes per-round outcomes
+//! well-defined facts of the schedule — [`CommFaultSchedule::attempts_used`] is the
+//! attempt count or, when the budget runs out, the eviction — and every backend
+//! (simulator, threads, processes) reads them from here without coordination or
+//! extra traffic. The eviction compiler in `selsync-core` relies on the same closed
+//! form to precompute membership.
 
 use serde::{Deserialize, Serialize};
 
 /// Which leg of a request/response exchange a frame travels on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Leg {
-    /// Worker → hub (the request envelope).
+    /// Worker → hub (the request).
     Request,
-    /// Hub → worker (the acknowledgement envelope).
+    /// Hub → worker (the reply).
     Response,
 }
 
@@ -36,10 +38,10 @@ pub enum Fate {
     Drop,
     /// The frame arrives with flipped bytes (the checksum rejects it).
     Corrupt,
-    /// The frame arrives twice (idempotent handlers dedupe the copy).
+    /// The frame arrives twice (still a delivery: never changes an outcome).
     Duplicate,
-    /// The frame arrives late but within the logical timeout (reordered after
-    /// punctual frames; harmless under round-keyed, idempotent handlers).
+    /// The frame arrives late but within the logical timeout (still a delivery:
+    /// never changes an outcome).
     Delay,
 }
 
@@ -55,18 +57,17 @@ pub struct CommFaultSpec {
     pub drop: f64,
     /// Probability a leg delivers its frame twice.
     pub duplicate: f64,
-    /// Probability a leg delivers a corrupted frame (rejected by checksum — counts
-    /// as a failed leg, like a drop, but exercises the reject path).
+    /// Probability a leg delivers a corrupted frame (rejected by checksum, so it
+    /// counts as a failed leg, like a drop).
     pub corrupt: f64,
     /// Probability a leg delivers its frame late (still within the timeout).
     pub delay: f64,
-    /// Maximum number of *rounds* a delayed frame may arrive late. `0` keeps
-    /// the historical semantics (late within the round, reordered after
-    /// punctual frames). The hub's dedupe horizon widens to cover this, so a
-    /// stale duplicate can never outlive the window that remembers it.
+    /// Maximum number of *rounds* a delayed frame may arrive late. Validated,
+    /// described and fingerprinted, but, like `delay` itself, it never changes
+    /// an attempt count or an eviction.
     pub delay_rounds: u64,
     /// Maximum attempts per logical operation (≥ 1). A worker that exhausts the
-    /// budget on every envelope of a round is declared dead and evicted.
+    /// budget at a round is declared dead and evicted.
     pub retry_budget: u32,
     /// Logical per-attempt timeout in seconds; attempt `a` backs off to
     /// `timeout_s · 2^a`, so the total retry penalty of an op is bounded by
@@ -152,7 +153,7 @@ impl CommFaultSpec {
 
 /// Seeded description of parameter-server availability. Unlike [`CommFaultSpec`]
 /// (which perturbs individual message legs), a PS fault takes the *server* down for
-/// whole rounds: every envelope addressed to it fails fast, and workers degrade to
+/// whole rounds: every op addressed to it is skipped, and workers degrade to
 /// local-only training until the server returns. Outages come from two sources that
 /// compose: scheduled windows (round-keyed, like `ClusterConditions` crash faults)
 /// and a seeded per-round "flaky" probability (brownouts), both pure functions of
@@ -316,8 +317,8 @@ impl CommFaultSchedule {
         &self.spec
     }
 
-    /// The raw hash of one leg (also used to pick deterministic corruption offsets).
-    pub fn leg_hash(&self, worker: usize, round: u64, attempt: u32, leg: Leg) -> u64 {
+    /// The raw hash of one leg.
+    fn leg_hash(&self, worker: usize, round: u64, attempt: u32, leg: Leg) -> u64 {
         let leg_tag = match leg {
             Leg::Request => 0u64,
             Leg::Response => 1u64,

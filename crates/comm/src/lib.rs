@@ -23,18 +23,16 @@
 //!   under any thread scheduling.
 //! * [`cluster`] — the shared handles (parameter server plus collectives) of one
 //!   cluster run.
-//! * [`wire`] — serialized, length-prefixed wire messages: every comm op is an
-//!   [`wire::Envelope`] with kind/round/sender ids and a checksum, deduped by its
-//!   `(kind, round, sender)` identity.
-//! * [`transport`] — the pluggable [`transport::Transport`] seam: a lossless
-//!   in-memory transport preserving today's behavior bit-for-bit, a fault-injecting
-//!   decorator, and the retry/timeout/eviction [`transport::MessageLayer`] on top.
+//! * [`wire`] — serialized, length-prefixed wire messages: every frame is an
+//!   [`wire::Envelope`] with kind/round/sender ids and a checksum.
 //! * [`faults`] — the deterministic per-link fault schedule (`[comm_faults]`):
-//!   drop/duplicate/corrupt/delay weather as a pure hash of
-//!   `(seed, worker, round, attempt, leg)`, plus retry budget and backoff.
-//! * [`socket`] — a real OS-socket transport (Unix domain sockets by default, TCP by
-//!   address) behind the same [`transport::Transport`] seam, plus the hub-side frame
-//!   server and blocking RPC channel the multi-process backend runs on.
+//!   per-leg fates as a pure hash of `(seed, worker, round, attempt, leg)`, whose
+//!   closed form gives every `(worker, round)` its attempt count or its eviction,
+//!   plus the `[ps_faults]` availability schedule. Every backend reads these
+//!   schedules; no message carries them.
+//! * [`socket`] — the hub-side frame server and blocking RPC channel the
+//!   multi-process backend runs on, over Unix domain sockets by default or TCP by
+//!   address.
 
 pub mod cluster;
 pub mod collective;
@@ -43,16 +41,11 @@ pub mod netmodel;
 pub mod ps;
 pub mod rounds;
 pub mod socket;
-pub mod transport;
 pub mod wire;
 
 pub use collective::{Collective, ScalarOp};
 pub use faults::{CommFaultSchedule, CommFaultSpec, PsFaultSchedule, PsFaultSpec};
 pub use netmodel::NetworkModel;
 pub use ps::ParameterServer;
-pub use socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn, SocketTransport};
-pub use transport::{
-    Delivery, Evicted, ExchangeOutcome, FaultyTransport, Link, LosslessTransport, MessageLayer,
-    PsExchangeError, Transport,
-};
-pub use wire::{Envelope, EnvelopeId, MsgKind, WireError, HUB_SENDER};
+pub use socket::{HubClient, HubServer, RpcService, SocketAddrSpec, SocketConn};
+pub use wire::{Envelope, MsgKind, WireError, HUB_SENDER};

@@ -198,14 +198,22 @@ impl ParameterServer {
         contribution: &[f32],
         participants: usize,
     ) -> Vec<f32> {
+        self.sync_round_owned(round, worker, contribution.to_vec(), participants)
+    }
+
+    /// [`Self::sync_round_elastic`] for a caller that owns its contribution: the
+    /// vector moves into the rendezvous instead of being copied.
+    pub fn sync_round_owned(
+        &self,
+        round: u64,
+        worker: usize,
+        contribution: Vec<f32>,
+        participants: usize,
+    ) -> Vec<f32> {
         let dim = self.dim();
         assert_eq!(contribution.len(), dim, "contribution dimension mismatch");
-        self.elastic.run(
-            round,
-            worker,
-            participants,
-            contribution.to_vec(),
-            |contribs| {
+        self.elastic
+            .run(round, worker, participants, contribution, |contribs| {
                 let n = contribs.len() as f32;
                 let mut mean = vec![0.0f32; dim];
                 for (_, c) in contribs {
@@ -242,8 +250,7 @@ impl ParameterServer {
                     }
                 }
                 mean
-            },
-        )
+            })
     }
 
     /// Capture the server's durable state for a checkpoint. Must only be called at

@@ -1,32 +1,21 @@
-//! Length-prefixed socket transport between OS processes (UDS default, TCP via
+//! Length-prefixed RPC channel between OS processes (UDS default, TCP via
 //! address config) — the multi-process backend's wire.
 //!
 //! The process model is a star: one **hub** process owns the parameter server,
 //! the collective and the shared policy board; every **worker** process holds
-//! exactly one stream connection to it. Two kinds of traffic ride the same
-//! connection, both as ordinary [`Envelope`] frames reassembled by the
-//! incremental [`FrameDecoder`] (a read may return half a frame or three):
-//!
-//! * **Transport echo** — [`SocketTransport`] implements [`Transport`] by
-//!   writing the frame and reading the hub's verbatim echo. The hub treats
-//!   every non-[`MsgKind::Rpc`] frame statelessly: what arrives is written
-//!   back byte for byte. That puts a real socket round-trip under the existing
-//!   [`crate::MessageLayer`] without changing its semantics — dedupe, retry
-//!   and acknowledgement logic stay where they are, and the
-//!   [`crate::FaultyTransport`] decorator composes over this transport
-//!   unchanged (dropped legs never touch the wire, corrupted legs flip a byte
-//!   of what the socket actually delivered).
-//! * **RPC** — [`HubClient`] sends an [`MsgKind::Rpc`] envelope and blocks for
-//!   the reply. The hub dispatches the payload to its [`RpcService`] (pull,
-//!   sync-round rendezvous, all-reduces, policy-board calls). Blocking
-//!   rendezvous ops work naturally: each connection is served by its own hub
-//!   thread, so one worker waiting inside a collective does not stall the
-//!   others.
+//! exactly one stream connection to it. The only traffic on a connection is
+//! RPC: [`HubClient`] sends an [`MsgKind::Rpc`] [`Envelope`] and blocks for the
+//! reply, and the hub dispatches the payload to its [`RpcService`] (pull,
+//! sync-round rendezvous, all-reduces, policy-board calls). Frames are
+//! reassembled by the incremental [`FrameDecoder`] (a read may return half a
+//! frame or three). Blocking rendezvous ops work naturally: each connection is
+//! served by its own hub thread, so one worker waiting inside a collective does
+//! not stall the others. Any other frame — another kind, or an `Rpc` frame
+//! that fails its checksum — is a protocol violation that ends the connection.
 //!
 //! Workers are single-threaded and strictly lockstep per connection (write one
 //! frame, read one frame), so no request/response correlation ids are needed.
 
-use crate::transport::{Delivery, Link, Transport};
 use crate::wire::{Envelope, FrameDecoder, MsgKind, WireError, HUB_SENDER};
 use parking_lot::Mutex;
 use std::io::{Read, Write};
@@ -69,7 +58,7 @@ impl std::fmt::Display for SocketAddrSpec {
 
 /// The hub-side service RPC payloads dispatch to. Implemented by the driver
 /// crate (the hub process wraps its parameter server, collective and policy
-/// board); the transport layer only moves the bytes.
+/// board); the socket layer only moves the bytes.
 pub trait RpcService: Send + Sync {
     /// Handle one request from `worker` at logical `round`; the returned bytes
     /// travel back as the reply payload. May block (rendezvous ops do).
@@ -129,9 +118,8 @@ impl Conn {
     }
 }
 
-/// A worker's connection to the hub. Cheap to clone handles off
-/// ([`SocketConn::transport`], [`SocketConn::client`]); all share the one
-/// underlying stream in strict lockstep.
+/// A worker's connection to the hub. Cheap to clone [`SocketConn::client`]
+/// handles off; all share the one underlying stream in strict lockstep.
 pub struct SocketConn {
     conn: Arc<Mutex<Conn>>,
 }
@@ -182,44 +170,12 @@ impl SocketConn {
         }
     }
 
-    /// A [`Transport`] that moves every frame through this connection.
-    pub fn transport(&self) -> SocketTransport {
-        SocketTransport {
-            conn: Arc::clone(&self.conn),
-        }
-    }
-
     /// An RPC handle for hub-side service calls from worker `worker`.
     pub fn client(&self, worker: u32) -> HubClient {
         HubClient {
             conn: Arc::clone(&self.conn),
             worker,
         }
-    }
-}
-
-/// [`Transport`] over a hub connection: write the frame, read the hub's
-/// verbatim echo. Always exactly one punctual delivery — weather is layered on
-/// by composing [`crate::FaultyTransport`] *over* this transport, so fault
-/// fates stay pure functions of the link key and never depend on socket
-/// timing.
-pub struct SocketTransport {
-    conn: Arc<Mutex<Conn>>,
-}
-
-impl Transport for SocketTransport {
-    fn deliver(&self, link: Link, frame: &[u8]) -> Vec<Delivery> {
-        let mut conn = self.conn.lock();
-        conn.write_frame(frame)
-            .unwrap_or_else(|e| panic!("socket transport write failed on {link:?}: {e}"));
-        let echoed = conn
-            .read_frame()
-            .unwrap_or_else(|e| panic!("socket transport read failed on {link:?}: {e}"))
-            .unwrap_or_else(|| panic!("hub closed the connection mid-exchange on {link:?}"));
-        vec![Delivery {
-            frame: echoed,
-            delayed: false,
-        }]
     }
 }
 
@@ -282,9 +238,9 @@ impl HubServer {
         Ok(HubServer { listener })
     }
 
-    /// Accept `workers` connections and serve them until every stream reaches
-    /// EOF. Non-RPC frames are echoed verbatim; RPC frames are dispatched to
-    /// `service` and answered with the reply payload. Returns the first
+    /// Accept `workers` connections and serve them until every stream ends.
+    /// RPC frames are dispatched to `service` and answered with the reply
+    /// payload; any other frame ends its connection. Returns the first
     /// connection error, after all threads have finished.
     pub fn serve(&self, workers: usize, service: Arc<dyn RpcService>) -> std::io::Result<()> {
         std::thread::scope(|scope| {
@@ -314,9 +270,7 @@ impl HubServer {
 const FRAME_SENDER_AT: usize = 4 + 1 + 8;
 
 /// The sender id a frame carries on the wire, if the frame is long enough to
-/// hold one. Reliable even under `[comm_faults]` weather: corruption is applied
-/// worker-side to what the hub echoed, so the bytes the hub *reads* are always
-/// the ones the worker wrote.
+/// hold one.
 fn frame_sender(frame: &[u8]) -> Option<u32> {
     frame
         .get(FRAME_SENDER_AT..FRAME_SENDER_AT + 4)
@@ -330,10 +284,10 @@ fn serve_connection(stream: Box<dyn Stream>, service: Arc<dyn RpcService>) -> st
     };
     // The worker behind this connection, learned from the first frame's sender
     // field. Before identification an I/O failure is a hub-fatal error; after
-    // it, any termination — clean EOF, mid-frame EOF, broken pipe, an RPC frame
-    // that fails to decode — is a worker death, reported to the service (which
-    // models it as a deterministic eviction) instead of tearing the whole
-    // cluster down.
+    // it, any termination — clean EOF, mid-frame EOF, broken pipe, a frame that
+    // is not a well-formed RPC — is a worker death, reported to the service
+    // (which models it as a deterministic eviction) instead of tearing the
+    // whole cluster down.
     let mut worker: Option<u32> = None;
     let end = |worker: Option<u32>, error: Option<std::io::Error>| match (worker, error) {
         (Some(w), _) => {
@@ -352,26 +306,24 @@ fn serve_connection(stream: Box<dyn Stream>, service: Arc<dyn RpcService>) -> st
         if worker.is_none() {
             worker = frame_sender(&frame);
         }
-        // Only RPC frames are interpreted; everything else — including frames a
-        // worker-side fault decorator corrupted — is echoed back untouched. The
-        // worker's message layer does the checksum validation, exactly as it
-        // does over the in-memory transports.
-        let is_rpc = frame.len() > 4 && frame[4] == MsgKind::Rpc.as_u8();
-        let reply = if is_rpc {
-            let request = match Envelope::decode(&frame) {
-                Ok(request) => request,
-                Err(e) => return end(worker, Some(wire_to_io(e))),
-            };
-            Envelope {
-                kind: MsgKind::Rpc,
-                round: request.round,
-                sender: HUB_SENDER,
-                payload: service.handle(request.sender, request.round, &request.payload),
+        let request = match Envelope::decode(&frame) {
+            Ok(request) if request.kind == MsgKind::Rpc => request,
+            Ok(other) => {
+                let e = std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("{:?} frame on an RPC connection", other.kind),
+                );
+                return end(worker, Some(e));
             }
-            .encode()
-        } else {
-            frame
+            Err(e) => return end(worker, Some(wire_to_io(e))),
         };
+        let reply = Envelope {
+            kind: MsgKind::Rpc,
+            round: request.round,
+            sender: HUB_SENDER,
+            payload: service.handle(request.sender, request.round, &request.payload),
+        }
+        .encode();
         if let Err(e) = conn.write_frame(&reply) {
             return end(worker, Some(e));
         }
@@ -382,8 +334,6 @@ fn serve_connection(stream: Box<dyn Stream>, service: Arc<dyn RpcService>) -> st
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{CommFaultSchedule, CommFaultSpec, Leg};
-    use crate::transport::MessageLayer;
 
     /// A service that answers with the request payload reversed.
     struct Reverser;
@@ -424,89 +374,12 @@ mod tests {
     }
 
     #[test]
-    fn socket_transport_echoes_frames_and_rpc_dispatches() {
-        with_hub("echo", 1, |addr| {
+    fn rpc_frames_dispatch_to_the_service() {
+        with_hub("rpc", 1, |addr| {
             let conn = SocketConn::connect(addr, Duration::from_secs(5)).expect("connect");
-            let transport = conn.transport();
-            let frame = Envelope {
-                kind: MsgKind::Flags,
-                round: 3,
-                sender: 0,
-                payload: vec![1],
-            }
-            .encode();
-            let link = Link {
-                worker: 0,
-                round: 3,
-                attempt: 0,
-                leg: Leg::Request,
-            };
-            let got = transport.deliver(link, &frame);
-            assert_eq!(
-                got,
-                vec![Delivery {
-                    frame,
-                    delayed: false
-                }]
-            );
             let client = conn.client(0);
             assert_eq!(client.rpc(4, vec![1, 2, 3]), vec![3, 2, 1]);
         });
-    }
-
-    #[test]
-    fn message_layer_over_the_socket_matches_lossless_outcomes() {
-        with_hub("layer", 1, |addr| {
-            let conn = SocketConn::connect(addr, Duration::from_secs(5)).expect("connect");
-            let layer = MessageLayer::over(Box::new(conn.transport()), 1);
-            for round in 0..8u64 {
-                let out = layer
-                    .exchange(0, round, MsgKind::Flags, &[1])
-                    .expect("socket exchange succeeds");
-                assert_eq!(out.attempts, 1);
-                assert_eq!(out.duplicates_absorbed, 0);
-                assert_eq!(out.corrupt_rejected, 0);
-            }
-        });
-    }
-
-    #[test]
-    fn faulty_decorator_composes_over_the_socket_with_scheduled_outcomes() {
-        // The same weather over the socket must produce the same exchange
-        // outcomes as over memory: fates are keyed by the link, not the wire.
-        let spec = CommFaultSpec {
-            seed: 17,
-            drop: 0.25,
-            duplicate: 0.15,
-            corrupt: 0.15,
-            delay: 0.1,
-            delay_rounds: 0,
-            retry_budget: 4,
-            timeout_s: 1e-3,
-        };
-        let schedule = CommFaultSchedule::new(spec);
-        let memory = MessageLayer::faulty(schedule);
-        let mut expected = Vec::new();
-        for round in 0..24u64 {
-            expected.push(memory.exchange(0, round, MsgKind::Flags, &[1]));
-        }
-        with_hub("faulty", 1, |addr| {
-            let conn = SocketConn::connect(addr, Duration::from_secs(5)).expect("connect");
-            let layer = MessageLayer::faulty_over(schedule, Box::new(conn.transport()));
-            for round in 0..24u64 {
-                let got = layer.exchange(0, round, MsgKind::Flags, &[1]);
-                assert_eq!(got, expected[round as usize], "round {round}");
-            }
-        });
-        // A corrupt-fated request leg still consists of real socket round
-        // trips: the decorator flips a byte of what the hub echoed.
-        assert!(
-            expected.iter().any(|r| match r {
-                Ok(out) => out.corrupt_rejected > 0,
-                Err(_) => true,
-            }),
-            "the drawn weather must exercise the reject path somewhere"
-        );
     }
 
     #[test]
@@ -561,7 +434,7 @@ mod tests {
             closed: Mutex::new(Vec::new()),
         });
         let svc: Arc<dyn RpcService> = Arc::clone(&service) as _;
-        let serving = std::thread::spawn(move || server.serve(4, svc));
+        let serving = std::thread::spawn(move || server.serve(5, svc));
         // Two workers identify themselves over one RPC each, then hang up at a
         // frame boundary (the clean-EOF death shape).
         for worker in [7u32, 9] {
@@ -569,23 +442,28 @@ mod tests {
             let client = conn.client(worker);
             assert_eq!(client.rpc(0, vec![worker as u8]), vec![worker as u8]);
         }
-        // A third identifies itself, then dies mid-frame: the hub maps the
-        // illegal EOF to the same callback instead of a fatal serve error.
+        // A third identifies itself with an RPC, then dies mid-frame: the hub
+        // maps the illegal EOF to the same callback instead of a fatal serve
+        // error.
         let SocketAddrSpec::Unix(path) = &addr else {
             unreachable!()
         };
         let mut raw = UnixStream::connect(path).expect("raw connect");
         let hello = Envelope {
-            kind: MsgKind::Flags,
+            kind: MsgKind::Rpc,
             round: 0,
             sender: 11,
             payload: vec![0xEE],
         }
         .encode();
         raw.write_all(&hello).expect("raw write");
-        let mut echo = vec![0u8; hello.len()];
-        raw.read_exact(&mut echo).expect("raw echo");
-        assert_eq!(echo, hello);
+        // The recorder answers with the request payload: one byte.
+        let mut reply = vec![0u8; crate::wire::frame_len(1)];
+        raw.read_exact(&mut reply).expect("raw reply");
+        assert_eq!(
+            Envelope::decode(&reply).expect("reply decodes").payload,
+            vec![0xEE]
+        );
         raw.write_all(&[1, 2, 3]).expect("partial frame");
         drop(raw);
         // A fourth sends an RPC frame that fails its checksum: the hub ends
@@ -601,6 +479,22 @@ mod tests {
         *garbled.last_mut().expect("non-empty frame") ^= 0xff;
         raw.write_all(&garbled).expect("raw write");
         drop(raw);
+        // A fifth sends a well-formed frame of a non-RPC kind: a protocol
+        // violation, ended like the garbled RPC rather than answered.
+        let mut raw = UnixStream::connect(path).expect("raw connect");
+        let flags = Envelope {
+            kind: MsgKind::Flags,
+            round: 0,
+            sender: 15,
+            payload: vec![1],
+        }
+        .encode();
+        raw.write_all(&flags).expect("raw write");
+        raw.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest).expect("the hub hangs up");
+        assert!(rest.is_empty(), "a non-RPC frame must not be answered");
 
         serving
             .join()
@@ -608,7 +502,7 @@ mod tests {
             .expect("hub survives worker hangups");
         let mut closed = service.closed.lock().clone();
         closed.sort_unstable();
-        assert_eq!(closed, vec![7, 9, 11, 13]);
+        assert_eq!(closed, vec![7, 9, 11, 13, 15]);
         let _ = std::fs::remove_file(path);
     }
 

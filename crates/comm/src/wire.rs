@@ -1,12 +1,9 @@
-//! Serialized, length-prefixed wire messages for the transport layer.
+//! Serialized, length-prefixed wire messages for hub connections.
 //!
-//! Every communication op a worker performs in a round is described by an
-//! [`Envelope`]: a message kind, the logical round id, the sender id and an opaque
-//! payload. Envelopes encode to a rigid little-endian frame with a length prefix and
-//! a trailing checksum, so a receiver can (a) detect truncation, (b) detect
-//! corruption without trusting the content, and (c) dedupe replays by the
-//! `(kind, round, sender)` identity — the three properties the fault-tolerant
-//! message layer in [`crate::transport`] is built on.
+//! Every frame on a hub connection is an [`Envelope`]: a message kind, the
+//! logical round id, the sender id and an opaque payload. Envelopes encode to a
+//! rigid little-endian frame with a length prefix and a trailing checksum, so a
+//! receiver can detect truncation and corruption without trusting the content.
 //!
 //! Frame layout (all integers little-endian):
 //!
@@ -14,7 +11,7 @@
 //! [len: u32]            length of everything after this prefix
 //! [kind: u8]            message kind tag
 //! [round: u64]          logical round id
-//! [sender: u32]         worker id (or HUB_SENDER for acknowledgements)
+//! [sender: u32]         worker id (or HUB_SENDER for hub replies)
 //! [payload_len: u32]    payload byte count
 //! [payload: ...]        opaque op payload
 //! [checksum: u64]       FNV-1a over every preceding byte of the frame
@@ -27,7 +24,9 @@ pub const HUB_SENDER: u32 = u32::MAX;
 /// payload length + checksum.
 pub const FRAME_OVERHEAD_BYTES: usize = 4 + 1 + 8 + 4 + 4 + 8;
 
-/// The kind of operation an envelope describes.
+/// The kind of operation an envelope describes. Hub connections carry only
+/// [`MsgKind::Rpc`]; the other tags still decode, so the hub can tell a
+/// well-formed frame of the wrong kind from a corrupt one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MsgKind {
     /// Pull the global model (initial pull or rejoin pull).
@@ -82,7 +81,7 @@ impl MsgKind {
 }
 
 /// Decode failure modes. Corruption anywhere in the frame surfaces as one of these
-/// (usually `BadChecksum`); the message layer treats them all as "the leg failed".
+/// (usually `BadChecksum`); the hub treats each as the end of that connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// Fewer bytes than the header or the length prefix promises.
@@ -113,15 +112,6 @@ impl std::fmt::Display for WireError {
     }
 }
 
-/// Identity of an envelope for dedupe purposes: retries and duplicated deliveries of
-/// the same logical op share this key, so idempotent handlers process it once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EnvelopeId {
-    pub kind: MsgKind,
-    pub round: u64,
-    pub sender: u32,
-}
-
 /// One wire message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
@@ -148,15 +138,6 @@ pub fn frame_len(payload_len: usize) -> usize {
 }
 
 impl Envelope {
-    /// The dedupe identity.
-    pub fn id(&self) -> EnvelopeId {
-        EnvelopeId {
-            kind: self.kind,
-            round: self.round,
-            sender: self.sender,
-        }
-    }
-
     /// Encode to the canonical length-prefixed frame.
     pub fn encode(&self) -> Vec<u8> {
         let body_len = 1 + 8 + 4 + 4 + self.payload.len() + 8;
@@ -173,7 +154,7 @@ impl Envelope {
     }
 
     /// Decode a frame, verifying the length prefix and the checksum. Any corruption
-    /// fails here — the message layer never hands garbage to a handler.
+    /// fails here, so garbage never reaches a handler.
     pub fn decode(frame: &[u8]) -> Result<Envelope, WireError> {
         if frame.len() < FRAME_OVERHEAD_BYTES {
             return Err(WireError::Truncated);
@@ -433,17 +414,6 @@ mod tests {
             dec.next_frame(),
             Err(WireError::LengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn dedupe_id_ignores_payload() {
-        let a = sample();
-        let mut b = sample();
-        b.payload = vec![9, 9, 9];
-        assert_eq!(a.id(), b.id());
-        let mut c = sample();
-        c.round += 1;
-        assert_ne!(a.id(), c.id());
     }
 
     proptest! {

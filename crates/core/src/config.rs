@@ -293,11 +293,11 @@ pub struct TrainConfig {
     /// Rejoin-pull semantics of the thread-per-worker driver (wall-clock by default;
     /// the simulator is unaffected — it is always schedule-deterministic).
     pub rejoin_pull: RejoinPull,
-    /// Optional deterministic message-fault schedule (`[comm_faults]`). `None` (the
-    /// default) routes all comm ops through the lossless transport, preserving
-    /// historical behavior bit-for-bit. `Some` drives every op through the
-    /// retry/timeout message layer; a worker that exhausts its retry budget is
-    /// evicted from membership exactly like a scheduled crash with no rejoin (see
+    /// Optional deterministic link-weather schedule (`[comm_faults]`). `None` (the
+    /// default) means lossless links. `Some` gives every `(worker, round)` a
+    /// closed-form attempt count that every backend traces (and the simulator
+    /// prices); a worker that exhausts its retry budget is evicted from
+    /// membership exactly like a scheduled crash with no rejoin (see
     /// [`TrainConfig::effective_conditions`]).
     pub comm_faults: Option<CommFaultSpec>,
     /// Optional deterministic parameter-server availability schedule

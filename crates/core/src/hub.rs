@@ -262,7 +262,7 @@ impl HubService {
                 HubReply::Round(ps.scheduled_round_before(round).map(|r| r as usize))
             }
             HubCall::SyncRound(expected, params) => {
-                HubReply::Vector(ps.sync_round_elastic(round, worker, &params, expected))
+                HubReply::Vector(ps.sync_round_owned(round, worker, params, expected))
             }
             HubCall::AllgatherFlags(flag, expected) => {
                 HubReply::Flags(collective.allgather_flags_among(round, worker, flag, expected))

@@ -27,7 +27,7 @@
 //! * [`algorithms`] — training drivers: BSP, local SGD, FedAvg, SSP and SelSync.
 //! * [`threaded`] — a thread-per-worker SelSync/BSP driver: worker threads over one
 //!   in-process hub (the real parameter server and collectives of `selsync-comm`).
-//! * [`process`] — a process-per-worker SelSync/BSP driver over the socket transport:
+//! * [`process`] — a process-per-worker SelSync/BSP driver over UDS or TCP sockets:
 //!   hub and worker entry points the `scenario_cluster` orchestrator spawns, with
 //!   per-process trace shards that merge into the canonical event log. Both real
 //!   backends run one worker round loop against one hub implementation.

@@ -1,4 +1,4 @@
-//! Process-per-worker SelSync/BSP driver over the socket transport — the third
+//! Process-per-worker SelSync/BSP driver over a UDS or TCP socket — the third
 //! backend, closing the simulator → threads → processes ladder.
 //!
 //! The cluster is a star of OS processes: one **hub** ([`run_process_hub`]) owns
@@ -13,18 +13,14 @@
 //! **One loop, one hub.** A worker process runs the same round loop as a
 //! [`crate::threaded`] worker thread (`crate::worker`), and the hub process
 //! serves the same hub the threaded driver shares in memory (`crate::hub`).
-//! This module is only the carrier between them. Every shared-state touch
-//! becomes either
-//!
-//! * a control-plane envelope on the [`MessageLayer`](selsync_comm::MessageLayer)
-//!   riding the [`SocketTransport`](selsync_comm::SocketTransport) (the hub echoes
-//!   frames verbatim, so retry/dedupe/eviction semantics — and the
-//!   [`crate::config::TrainConfig::comm_faults`] weather composed *over* the
-//!   socket — are bit-identical to the in-memory transports), or
-//! * a blocking RPC ([`selsync_comm::HubClient`]) whose payload is the encoded
-//!   [`HubCall`]; the hub decodes it and serves it through the very dispatcher
-//!   an in-process worker calls. A payload that fails to decode counts as the
-//!   sender's death, so no input from the network can panic the hub.
+//! This module is only the carrier between them. Every shared-state touch is
+//! one blocking RPC ([`selsync_comm::HubClient`]) whose payload is the encoded
+//! [`HubCall`]; the hub decodes it and serves it through the very dispatcher an
+//! in-process worker calls. A payload that fails to decode counts as the
+//! sender's death, so no input from the network can panic the hub. Nothing
+//! else rides the socket: the [`crate::config::TrainConfig::comm_faults`]
+//! weather is a closed-form schedule every worker reads locally (see
+//! `crate::worker`), as the simulator and the threaded driver do.
 //!
 //! Worker-order folds, round-keyed rendezvous and the board's round-ordered
 //! observation stream are all hub-side, so the multi-process cluster's
@@ -69,7 +65,7 @@ use crate::hub::HubService;
 use crate::hubcall::{HubCall, HubReply};
 use crate::policy::PolicySpec;
 use crate::threaded::ThreadedWorkerReport;
-use crate::worker::{message_layer, run_worker, ClusterPort, WorkerSetup};
+use crate::worker::{run_worker, ClusterPort, WorkerSetup};
 use selsync_comm::socket::{HubClient, HubServer, SocketAddrSpec, SocketConn};
 use selsync_nn::model::PaperModel;
 use selsync_tracelog::TraceSink;
@@ -229,24 +225,11 @@ pub fn run_process_worker_with(
         .map(|ckpt| crate::resume::cluster_image(cfg, ckpt));
     let conn = SocketConn::connect(addr, CONNECT_RETRY)
         .unwrap_or_else(|e| panic!("worker {worker} failed to connect to {addr}: {e}"));
-    // The message layer rides the real socket: the hub echoes every non-RPC
-    // frame verbatim, so retries, dedupe and evictions behave exactly as over
-    // the in-memory transports — including with the fault decorator composed
-    // over the socket.
-    let layer = message_layer(cfg, Box::new(conn.transport()));
     let port = RemoteCluster {
         client: conn.client(worker as u32),
         trace: cfg.trace.clone(),
     };
-    let report = run_worker(
-        cfg,
-        &setup,
-        worker,
-        &port,
-        &layer,
-        resume.as_deref(),
-        opts.kill_at,
-    );
+    let report = run_worker(cfg, &setup, worker, &port, resume.as_deref(), opts.kill_at);
     (report, cfg.trace.take_log().encode())
 }
 

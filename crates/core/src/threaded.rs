@@ -32,8 +32,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::config::TrainConfig;
 use crate::hub::{HubService, LocalPort};
-use crate::worker::{message_layer, run_worker, WorkerSetup};
-use selsync_comm::LosslessTransport;
+use crate::worker::{run_worker, WorkerSetup};
 use selsync_nn::model::PaperModel;
 use serde::{Deserialize, Serialize};
 
@@ -86,15 +85,13 @@ fn run_threaded_inner(cfg: &TrainConfig, resume: Option<&Checkpoint>) -> Vec<Thr
     let proto = PaperModel::build(cfg.model, cfg.seed);
     let hub = HubService::new(cfg, &proto, resume, "threaded");
     let setup = WorkerSetup::new(cfg, &proto);
-    // One message layer for every thread, over the in-memory transport.
-    let layer = message_layer(cfg, Box::new(LosslessTransport));
-    let (hub, setup, layer) = (&hub, &setup, &layer);
+    let (hub, setup) = (&hub, &setup);
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..cfg.workers)
             .map(|worker| {
                 scope.spawn(move || {
                     let port = LocalPort { hub, worker };
-                    run_worker(cfg, setup, worker, &port, layer, resume, None)
+                    run_worker(cfg, setup, worker, &port, resume, None)
                 })
             })
             .collect();
@@ -399,8 +396,8 @@ mod tests {
     #[test]
     fn duplicate_and_delay_weather_is_report_identical_to_lossless() {
         use selsync_comm::faults::CommFaultSpec;
-        // Duplicates are absorbed by envelope-id dedupe and delays only reorder
-        // delivery, so a drop/corrupt-free schedule changes nothing observable.
+        // Duplicated and delayed legs still deliver, so a drop/corrupt-free
+        // schedule changes nothing observable.
         let mut c = cfg(0.05, 3);
         c.comm_faults = Some(CommFaultSpec {
             seed: 9,

@@ -9,6 +9,12 @@
 //! the same `Δ(g_i)` tracker configuration, and the same dropout-stream
 //! positions (each worker seeks its model's stochastic layers to the canonical
 //! global forward index, a pure function of the fault schedule).
+//!
+//! Link weather (`[comm_faults]`) and PS availability (`[ps_faults]`) are
+//! closed-form schedules, not traffic: the loop reads its retry count, its
+//! eviction round and the PS-down rounds from [`CommFaultSchedule`] and
+//! [`PsFaultSchedule`], exactly as the simulator does, and sends each op once
+//! as a [`HubCall`].
 
 use crate::checkpoint::{config_fingerprint, Checkpoint, Section};
 use crate::conditions::{ClusterConditions, FaultEvent};
@@ -19,8 +25,7 @@ use crate::sim;
 use crate::threaded::ThreadedWorkerReport;
 use crate::tracker::{GradStatistic, GradientTracker, TrackerState};
 use selsync_comm::faults::{CommFaultSchedule, PsFaultSchedule};
-use selsync_comm::wire::MsgKind;
-use selsync_comm::{MessageLayer, PsExchangeError, ScalarOp, Transport};
+use selsync_comm::ScalarOp;
 use selsync_data::Dataset;
 use selsync_metrics::lssr::LssrCounter;
 use selsync_nn::model::PaperModel;
@@ -35,20 +40,6 @@ pub(crate) trait ClusterPort {
     fn call(&self, round: u64, call: HubCall) -> HubReply;
 }
 
-/// The message layer a worker's control-plane envelopes ride over `transport`:
-/// lossless (single attempt) without `[comm_faults]`, the retry/timeout/eviction
-/// path under the seeded weather with it, plus the `[ps_faults]` availability gate.
-pub(crate) fn message_layer(cfg: &TrainConfig, transport: Box<dyn Transport>) -> MessageLayer {
-    let layer = match cfg.comm_faults.map(CommFaultSchedule::new) {
-        Some(schedule) => MessageLayer::faulty_over(schedule, transport),
-        None => MessageLayer::over(transport, 1),
-    };
-    match cfg.ps_fault_schedule() {
-        Some(schedule) => layer.with_ps_outages(schedule),
-        None => layer,
-    }
-}
-
 /// What every worker of a run derives identically from the config, built once
 /// per process and shared by reference across worker threads.
 pub(crate) struct WorkerSetup {
@@ -59,6 +50,9 @@ pub(crate) struct WorkerSetup {
     /// compiled comm-fault eviction.
     conditions: ClusterConditions,
     evictions: Vec<(usize, usize)>,
+    /// The `[comm_faults]` link weather: a worker's attempt count at a round is
+    /// `attempts_used(worker, round)`, the same closed form the simulator prices.
+    comm_schedule: Option<CommFaultSchedule>,
     ps_schedule: Option<PsFaultSchedule>,
     /// Whether the policy consumes round signals. Fixed and scheduled policies
     /// are pure functions of the iteration and discard their observations, so
@@ -82,6 +76,7 @@ impl WorkerSetup {
             iid_order,
             conditions: cfg.effective_conditions(),
             evictions: cfg.comm_fault_evictions(),
+            comm_schedule: cfg.comm_faults.map(CommFaultSchedule::new),
             ps_schedule: cfg.ps_fault_schedule(),
             exchange_signals: spec.consumes_round_signals(),
             fingerprint: config_fingerprint(cfg),
@@ -98,7 +93,6 @@ pub(crate) fn run_worker<P: ClusterPort>(
     setup: &WorkerSetup,
     worker: usize,
     port: &P,
-    layer: &MessageLayer,
     resume: Option<&Checkpoint>,
     kill_at: Option<usize>,
 ) -> ThreadedWorkerReport {
@@ -172,63 +166,6 @@ pub(crate) fn run_worker<P: ClusterPort>(
         was_present = conditions.is_present(worker, start - 1);
     }
     let mut indices = Vec::with_capacity(cfg.batch_size);
-    // Control-plane exchange for one comm op: request envelope out, hub ack
-    // back, bounded retry. A worker present at a round always lands within its
-    // budget — exhaustion would have evicted it from this round's membership —
-    // so an `Err` here is a schedule/layer disagreement, not a recoverable
-    // condition. Returns the attempt count (shared by every op this worker
-    // performs this round: link weather is per `(worker, round, attempt, leg)`,
-    // not per message kind).
-    let exchange = |round: usize, kind: MsgKind, payload: &[u8]| -> u32 {
-        layer
-            .exchange(worker, round as u64, kind, payload)
-            .unwrap_or_else(|e| {
-                panic!("present worker {worker} failed a comm op at round {round}: {e}")
-            })
-            .attempts
-    };
-
-    // Checkpoint-gate participation at the end of round `it`: every worker —
-    // present or absent — deposits its recovery section when a checkpoint is due
-    // and parks until the hub has written the image. Returns whether the run
-    // halts after this round (the simulated kill switch).
-    let end_of_round = |it: usize,
-                        present: &[usize],
-                        params: &[f32],
-                        optimizer: &dyn selsync_nn::Optimizer,
-                        tracker: &GradientTracker,
-                        counter: &LssrCounter,
-                        sync_rounds: &[usize],
-                        last_loss: f32|
-     -> bool {
-        let Some(ck) = &cfg.checkpoint else {
-            return false;
-        };
-        // The simulator writes nothing at whole-cluster-absent rounds; neither
-        // do the real backends (and the kill switch cannot fire there).
-        if present.is_empty() {
-            return false;
-        }
-        if ck.due(it) || ck.halt_after == Some(it) {
-            // The port attaches the trace shard, if its worker keeps its own.
-            let deposit = HubCall::Deposit {
-                round: it,
-                fingerprint: setup.fingerprint,
-                section: worker_section(
-                    worker,
-                    params,
-                    optimizer,
-                    tracker,
-                    counter,
-                    sync_rounds,
-                    last_loss,
-                ),
-                trace: Vec::new(),
-            };
-            port.call(it as u64, deposit);
-        }
-        ck.halt_after == Some(it)
-    };
 
     let mut killed = false;
     for it in start..cfg.iterations {
@@ -264,302 +201,244 @@ pub(crate) fn run_worker<P: ClusterPort>(
         // no collectives. Every live worker derives the same membership from the
         // deterministic schedule, so the round-keyed rendezvous stays consistent.
         let present = conditions.present_workers(n, it);
-        let Some(rank) = present.iter().position(|&p| p == worker) else {
-            if setup.evictions.contains(&(worker, it)) {
-                // This is the round the fault schedule drives this worker past
-                // its retry budget. Run the doomed exchange for real — the layer
-                // must agree with the precomputed membership — then log the
-                // eviction and fall out of the cluster for good.
-                let farewell = layer.exchange(worker, it as u64, MsgKind::Flags, &[0]);
-                assert!(
-                    farewell.is_err(),
-                    "worker {worker} was precomputed as evicted at round {it} but its \
-                     exchange succeeded"
-                );
-                cfg.trace.record(Event::CommEvict { round: it, worker });
-            }
-            was_present = false;
-            forwards_before += present.len() as u64;
-            if end_of_round(
-                it,
-                &present,
-                &params,
-                optimizer.as_ref(),
-                &tracker,
-                &counter,
-                &sync_rounds,
-                last_loss,
-            ) {
-                break;
-            }
-            continue;
-        };
-        let active = present.len();
-        let forward_index = forwards_before + rank as u64;
-        forwards_before += active as u64;
-        if !was_present {
-            // Rejoin: tracker and optimizer did not survive the crash (the
-            // simulator restarts per-worker state the same way — its cluster-level
-            // policy, like the shared board here, is untouched). The pull request
-            // is an envelope on the message layer; the parameter pull itself (the
-            // data plane) follows the configured semantics. At a PS-down round the
-            // envelope is skipped — there is no server to ack it — while the data
-            // plane (the schedule-pure snapshot lookup) and the event stay,
-            // exactly like the simulator's rejoin path.
-            if !layer.ps_down(it as u64) {
-                exchange(it, MsgKind::Pull, &(it as u64).to_le_bytes());
-            }
-            params = match cfg.rejoin_pull {
-                RejoinPull::WallClock => port.call(NO_ROUND, HubCall::Pull).vector(),
-                RejoinPull::Scheduled => {
-                    // Wait until every active round before the rejoin has fully
-                    // decided (the board advances only after a round's sync, so
-                    // the ring then holds every scheduled global this lookup can
-                    // need), then pull the last scheduled synchronization's
-                    // global — the simulator's `global` entering this round.
-                    port.call(round, HubCall::WaitCaughtUp(it));
-                    port.call(round, HubCall::ScheduledGlobalBefore).vector()
+        'round: {
+            let Some(rank) = present.iter().position(|&p| p == worker) else {
+                if setup.evictions.contains(&(worker, it)) {
+                    // The fault schedule drives this worker past its retry budget
+                    // at this round: log the eviction and fall out of the cluster
+                    // for good.
+                    cfg.trace.record(Event::CommEvict { round: it, worker });
                 }
+                was_present = false;
+                forwards_before += present.len() as u64;
+                break 'round;
             };
-            if cfg.trace.is_enabled() {
-                // Mirror the simulator's pull event: under scheduled pulls the
-                // source is the ring's answer for this round; wall-clock pulls
-                // have a timing-dependent source, recorded as `None` on every
-                // backend so the logs stay byte-comparable.
-                let (pull, from) = match cfg.rejoin_pull {
-                    RejoinPull::Scheduled => (
-                        PullKind::Scheduled,
-                        port.call(round, HubCall::ScheduledRoundBefore).round(),
-                    ),
-                    RejoinPull::WallClock => (PullKind::WallClock, None),
-                };
-                cfg.trace.record(Event::RejoinPull {
-                    round: it,
-                    worker,
-                    pull,
-                    from,
-                });
-            }
-            tracker = new_tracker();
-            optimizer = cfg.optimizer.build();
-            was_present = true;
-        }
-
-        indices.clear();
-        for _ in 0..cfg.batch_size {
-            indices.push(traversal[cursor % traversal.len()]);
-            cursor += 1;
-        }
-        cursor %= traversal.len();
-        let (x, y) = setup.train.batch(&indices);
-        model.set_params_flat(&params);
-        model.seek_dropout(forward_index);
-        let stats = model.forward_backward(&x, &y);
-        last_loss = stats.loss;
-        let grads = model.grads_flat();
-        let delta_g = tracker.update(&grads);
-
-        // Local update through the configured optimizer at the scheduled learning
-        // rate (Alg. 1 line 9) — identical to the simulator's apply path.
-        let lr = cfg.lr.lr_at(cfg.epoch_of(it), it);
-        optimizer.step(&mut params, &grads, lr);
-
-        // PS outage: the round degrades to forced-local. One probe envelope
-        // discovers the outage and fails fast (no retry budget consumed); the
-        // status all-gather, signal exchange and sync round — all PS-bound — are
-        // skipped, and the worker keeps its local update. The δ policy is still
-        // consulted and fed the lowest-ranked present worker's local signal, so
-        // regime state stays coherent — bit-identical to the simulator's
-        // degraded branch.
-        if layer.ps_down(it as u64) {
-            let probe =
-                layer.ps_exchange(worker, it as u64, MsgKind::Pull, &(it as u64).to_le_bytes());
-            assert!(
-                matches!(probe, Err(PsExchangeError::Down { .. })),
-                "the PS availability schedule and the layer's gate disagree at round {it}"
-            );
-            let sync_policy = SyncPolicy::new(port.call(round, HubCall::DeltaFor(it)).scalar());
-            // A rendezvous that keeps the board's round-ordered observe behind
-            // every present worker's δ fetch, exactly like the status all-gather
-            // does on reachable rounds.
-            port.call(round, HubCall::AllgatherFlags(false, active));
-            counter.record_local();
-            if rank == 0 {
-                if cfg.trace.is_enabled() {
-                    crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
-                    if ps_schedule
-                        .as_ref()
-                        .is_some_and(|s| s.outage_starts(it as u64))
-                    {
-                        cfg.trace.record(Event::PsDown { round: it });
+            let active = present.len();
+            let forward_index = forwards_before + rank as u64;
+            forwards_before += active as u64;
+            if !was_present {
+                // Rejoin: tracker and optimizer did not survive the crash (the
+                // simulator restarts per-worker state the same way — its cluster-level
+                // policy, like the shared board here, is untouched). The pull follows
+                // the configured semantics, at PS-down rounds too (the scheduled
+                // lookup is schedule-pure), exactly like the simulator's rejoin path.
+                params = match cfg.rejoin_pull {
+                    RejoinPull::WallClock => port.call(NO_ROUND, HubCall::Pull).vector(),
+                    RejoinPull::Scheduled => {
+                        // Wait until every active round before the rejoin has fully
+                        // decided (the board advances only after a round's sync, so
+                        // the ring then holds every scheduled global this lookup can
+                        // need), then pull the last scheduled synchronization's
+                        // global — the simulator's `global` entering this round.
+                        port.call(round, HubCall::WaitCaughtUp(it));
+                        port.call(round, HubCall::ScheduledGlobalBefore).vector()
                     }
-                    cfg.trace.record(Event::DegradedRound {
+                };
+                if cfg.trace.is_enabled() {
+                    // Mirror the simulator's pull event: under scheduled pulls the
+                    // source is the ring's answer for this round; wall-clock pulls
+                    // have a timing-dependent source, recorded as `None` on every
+                    // backend so the logs stay byte-comparable.
+                    let (pull, from) = match cfg.rejoin_pull {
+                        RejoinPull::Scheduled => (
+                            PullKind::Scheduled,
+                            port.call(round, HubCall::ScheduledRoundBefore).round(),
+                        ),
+                        RejoinPull::WallClock => (PullKind::WallClock, None),
+                    };
+                    cfg.trace.record(Event::RejoinPull {
                         round: it,
-                        delta: sync_policy.delta,
-                        loss: stats.loss,
-                        delta_g,
+                        worker,
+                        pull,
+                        from,
                     });
                 }
+                tracker = new_tracker();
+                optimizer = cfg.optimizer.build();
+                was_present = true;
+            }
+
+            indices.clear();
+            for _ in 0..cfg.batch_size {
+                indices.push(traversal[cursor % traversal.len()]);
+                cursor += 1;
+            }
+            cursor %= traversal.len();
+            let (x, y) = setup.train.batch(&indices);
+            model.set_params_flat(&params);
+            model.seek_dropout(forward_index);
+            let stats = model.forward_backward(&x, &y);
+            last_loss = stats.loss;
+            let grads = model.grads_flat();
+            let delta_g = tracker.update(&grads);
+
+            // Local update through the configured optimizer at the scheduled learning
+            // rate (Alg. 1 line 9) — identical to the simulator's apply path.
+            let lr = cfg.lr.lr_at(cfg.epoch_of(it), it);
+            optimizer.step(&mut params, &grads, lr);
+
+            // PS outage: the round degrades to forced-local. The signal exchange
+            // and the sync round — both PS-bound — are skipped, every status bit
+            // is forced off, and the worker keeps its local update. The δ policy
+            // is still consulted and fed the lowest-ranked present worker's local
+            // signal, so regime state stays coherent — bit-identical to the
+            // simulator's degraded branch. The status all-gather still runs as
+            // the rendezvous that keeps the board's round-ordered observe behind
+            // every present worker's δ fetch.
+            let ps_down = ps_schedule.as_ref().is_some_and(|s| s.down(round));
+            // The first reachable round after an outage runs the catch-up sync: every
+            // present worker forces its status bit, so the accumulated local-only
+            // deltas reconcile through the ordinary elastic round.
+            let catchup = ps_schedule.as_ref().is_some_and(|s| s.outage_ends(round));
+
+            // Cluster-signal exchange among the live workers: the round's mean batch
+            // loss and maximum Δ(g_i), combined in worker-id order — bit-identical to
+            // the simulator's `RoundOutput::mean_loss` / `max_delta` folds.
+            let (mean_loss, cluster_delta, moments) = if setup.exchange_signals && !ps_down {
+                let moments = vec![delta_g, delta_g * delta_g];
+                let moments = HubCall::AllreduceVec(ScalarOp::Mean, active, moments);
+                let reduce =
+                    |op, value| port.call(round, HubCall::AllreduceScalar(op, active, value));
+                (
+                    reduce(ScalarOp::Mean, stats.loss).scalar(),
+                    reduce(ScalarOp::Max, delta_g).scalar(),
+                    port.call(round, moments).vector(),
+                )
+            } else {
+                (stats.loss, delta_g, vec![delta_g, delta_g * delta_g])
+            };
+
+            // This round's δ from the *shared* cluster policy (Phase 0 of the
+            // simulator driver); blocks until all earlier rounds' signals are in.
+            let sync_policy = SyncPolicy::new(port.call(round, HubCall::DeltaFor(it)).scalar());
+
+            // 1-bit status all-gather followed by the cluster decision (lines 10–13),
+            // restricted to the live workers of this iteration. A catch-up round
+            // forces every status bit.
+            let wants_sync = !ps_down && (catchup || sync_policy.worker_wants_sync(delta_g));
+            // One retry event per (worker, round): link weather is keyed by
+            // `(worker, round, attempt, leg)`, not by op, so every op this worker
+            // sends this round shares one attempt count. A present worker always
+            // lands within its budget — exhaustion would have evicted it. A
+            // degraded round reaches no server, so it has no link weather.
+            if let Some(schedule) = setup.comm_schedule.as_ref().filter(|_| !ps_down) {
+                let attempts = schedule
+                    .attempts_used(worker, round)
+                    .expect("present workers complete within their retry budget");
+                if attempts > 1 {
+                    cfg.trace.record(Event::CommRetry {
+                        round: it,
+                        worker,
+                        attempts,
+                    });
+                }
+            }
+            let flags = port
+                .call(round, HubCall::AllgatherFlags(wants_sync, active))
+                .flags();
+            let synced = flags.iter().any(|&f| f);
+            if synced {
+                // Push local parameters, pull the average (lines 14–15). The elastic
+                // round combines contributions in worker-id order, so the pulled
+                // average equals the simulator's to the last bit.
+                params = port
+                    .call(round, HubCall::SyncRound(active, params))
+                    .vector();
+                counter.record_sync();
+                sync_rounds.push(it);
+            } else {
+                counter.record_local();
+            }
+            if rank == 0 {
+                if cfg.trace.is_enabled() {
+                    // One emitter per round: the lowest-ranked present worker logs the
+                    // round's structural and decision events (canonical sorting erases
+                    // any interleaving with other rounds).
+                    crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
+                    if ps_down {
+                        if ps_schedule.as_ref().is_some_and(|s| s.outage_starts(round)) {
+                            cfg.trace.record(Event::PsDown { round: it });
+                        }
+                        cfg.trace.record(Event::DegradedRound {
+                            round: it,
+                            delta: sync_policy.delta,
+                            loss: stats.loss,
+                            delta_g,
+                        });
+                    } else {
+                        if catchup {
+                            let schedule =
+                                ps_schedule.as_ref().expect("catchup implies a schedule");
+                            cfg.trace.record(Event::PsUp { round: it });
+                            cfg.trace.record(Event::CatchupSync {
+                                round: it,
+                                behind: schedule.rounds_behind(round) as usize,
+                            });
+                        }
+                        if setup.exchange_signals {
+                            cfg.trace.record(Event::Signal {
+                                round: it,
+                                mean_loss,
+                                max_delta: cluster_delta,
+                            });
+                        }
+                        cfg.trace.record(Event::Round {
+                            round: it,
+                            delta: sync_policy.delta,
+                            // The gather is full-width (absent slots read false); the
+                            // canonical event keeps present-worker order, matching the
+                            // simulator's per-present-worker flag vector.
+                            flags: present.iter().map(|&w| flags[w]).collect(),
+                            synced,
+                        });
+                    }
+                }
+                // The lowest-ranked present worker posts the round's cluster signal.
+                // Every present worker has passed the status all-gather by now (it is
+                // a rendezvous), so no one can still be waiting on this round's δ —
+                // and if the round synchronized, its global is already in the
+                // snapshot ring, so a scheduled rejoin pull unblocked by this
+                // observation finds everything it needs.
                 let signal = RoundSignal {
                     iteration: it,
-                    max_delta: delta_g,
-                    mean_loss: stats.loss,
-                    delta_mean: delta_g,
-                    delta_sq_mean: delta_g * delta_g,
-                    synced: false,
+                    max_delta: cluster_delta,
+                    mean_loss,
+                    delta_mean: moments[0],
+                    delta_sq_mean: moments[1],
+                    synced,
                 };
                 let next_round = conditions.next_active_iteration(n, it + 1, cfg.iterations);
                 port.call(round, HubCall::Observe(signal, next_round));
             }
-            if end_of_round(
-                it,
-                &present,
-                &params,
-                optimizer.as_ref(),
-                &tracker,
-                &counter,
-                &sync_rounds,
-                last_loss,
-            ) {
+        }
+        // Checkpoint-gate participation at the end of round `it`: every worker —
+        // present or absent — deposits its recovery section when a checkpoint is
+        // due and parks until the hub has written the image. The simulator writes
+        // nothing at whole-cluster-absent rounds; neither do the real backends
+        // (and the kill switch cannot fire there).
+        if let Some(ck) = cfg.checkpoint.as_ref().filter(|_| !present.is_empty()) {
+            if ck.due(it) || ck.halt_after == Some(it) {
+                // The port attaches the trace shard, if its worker keeps its own.
+                let section = worker_section(
+                    worker,
+                    &params,
+                    optimizer.as_ref(),
+                    &tracker,
+                    &counter,
+                    &sync_rounds,
+                    last_loss,
+                );
+                let deposit = HubCall::Deposit {
+                    round: it,
+                    fingerprint: setup.fingerprint,
+                    section,
+                    trace: Vec::new(),
+                };
+                port.call(round, deposit);
+            }
+            if ck.halt_after == Some(it) {
                 break;
             }
-            continue;
-        }
-        // The first reachable round after an outage runs the catch-up sync: every
-        // present worker forces its status bit, so the accumulated local-only
-        // deltas reconcile through the ordinary elastic round.
-        let catchup = ps_schedule
-            .as_ref()
-            .is_some_and(|s| s.outage_ends(it as u64));
-
-        // Cluster-signal exchange among the live workers: the round's mean batch
-        // loss and maximum Δ(g_i), combined in worker-id order — bit-identical to
-        // the simulator's `RoundOutput::mean_loss` / `max_delta` folds.
-        let (mean_loss, cluster_delta, moments) = if setup.exchange_signals {
-            // Both scalars ride one envelope (the envelope id is
-            // (kind, round, sender), so a second ScalarReduce from the same
-            // worker in the same round would be dropped as a duplicate), and the
-            // Δ-moment vector rides its own VecReduce envelope.
-            let mut scalar_payload = [0u8; 8];
-            scalar_payload[..4].copy_from_slice(&stats.loss.to_le_bytes());
-            scalar_payload[4..].copy_from_slice(&delta_g.to_le_bytes());
-            exchange(it, MsgKind::ScalarReduce, &scalar_payload);
-            let mut vec_payload = [0u8; 8];
-            vec_payload[..4].copy_from_slice(&delta_g.to_le_bytes());
-            vec_payload[4..].copy_from_slice(&(delta_g * delta_g).to_le_bytes());
-            exchange(it, MsgKind::VecReduce, &vec_payload);
-            let moments = vec![delta_g, delta_g * delta_g];
-            let moments = HubCall::AllreduceVec(ScalarOp::Mean, active, moments);
-            let reduce = |op, value| port.call(round, HubCall::AllreduceScalar(op, active, value));
-            (
-                reduce(ScalarOp::Mean, stats.loss).scalar(),
-                reduce(ScalarOp::Max, delta_g).scalar(),
-                port.call(round, moments).vector(),
-            )
-        } else {
-            (stats.loss, delta_g, vec![delta_g, delta_g * delta_g])
-        };
-
-        // This round's δ from the *shared* cluster policy (Phase 0 of the
-        // simulator driver); blocks until all earlier rounds' signals are in.
-        let sync_policy = SyncPolicy::new(port.call(round, HubCall::DeltaFor(it)).scalar());
-
-        // 1-bit status all-gather followed by the cluster decision (lines 10–13),
-        // restricted to the live workers of this iteration. A catch-up round
-        // forces every status bit.
-        let wants_sync = catchup || sync_policy.worker_wants_sync(delta_g);
-        let attempts = exchange(it, MsgKind::Flags, &[wants_sync as u8]);
-        if attempts > 1 {
-            // One retry event per (worker, round): every envelope this worker
-            // sent this round shares the same attempt count.
-            cfg.trace.record(Event::CommRetry {
-                round: it,
-                worker,
-                attempts,
-            });
-        }
-        let flags = port
-            .call(round, HubCall::AllgatherFlags(wants_sync, active))
-            .flags();
-        let synced = flags.iter().any(|&f| f);
-        if synced {
-            // Push local parameters, pull the average (lines 14–15). The elastic
-            // round combines contributions in worker-id order, so the pulled
-            // average equals the simulator's to the last bit. The control-plane
-            // announcement (parameter byte count) is an envelope; the parameters
-            // themselves move through the data-plane rendezvous.
-            exchange(
-                it,
-                MsgKind::SyncRound,
-                &((params.len() * 4) as u64).to_le_bytes(),
-            );
-            params = port
-                .call(round, HubCall::SyncRound(active, params))
-                .vector();
-            counter.record_sync();
-            sync_rounds.push(it);
-        } else {
-            counter.record_local();
-        }
-        if rank == 0 {
-            if cfg.trace.is_enabled() {
-                // One emitter per round: the lowest-ranked present worker logs the
-                // round's structural and decision events (canonical sorting erases
-                // any interleaving with other rounds).
-                crate::tracing::emit_round_context(&cfg.trace, &conditions, n, it, &present);
-                if catchup {
-                    let schedule = ps_schedule.as_ref().expect("catchup implies a schedule");
-                    cfg.trace.record(Event::PsUp { round: it });
-                    cfg.trace.record(Event::CatchupSync {
-                        round: it,
-                        behind: schedule.rounds_behind(it as u64) as usize,
-                    });
-                }
-                if setup.exchange_signals {
-                    cfg.trace.record(Event::Signal {
-                        round: it,
-                        mean_loss,
-                        max_delta: cluster_delta,
-                    });
-                }
-                cfg.trace.record(Event::Round {
-                    round: it,
-                    delta: sync_policy.delta,
-                    // The gather is full-width (absent slots read false); the
-                    // canonical event keeps present-worker order, matching the
-                    // simulator's per-present-worker flag vector.
-                    flags: present.iter().map(|&w| flags[w]).collect(),
-                    synced,
-                });
-            }
-            // The lowest-ranked present worker posts the round's cluster signal.
-            // Every present worker has passed the status all-gather by now (it is
-            // a rendezvous), so no one can still be waiting on this round's δ —
-            // and if the round synchronized, its global is already in the
-            // snapshot ring, so a scheduled rejoin pull unblocked by this
-            // observation finds everything it needs.
-            let signal = RoundSignal {
-                iteration: it,
-                max_delta: cluster_delta,
-                mean_loss,
-                delta_mean: moments[0],
-                delta_sq_mean: moments[1],
-                synced,
-            };
-            let next_round = conditions.next_active_iteration(n, it + 1, cfg.iterations);
-            port.call(round, HubCall::Observe(signal, next_round));
-        }
-        if end_of_round(
-            it,
-            &present,
-            &params,
-            optimizer.as_ref(),
-            &tracker,
-            &counter,
-            &sync_rounds,
-            last_loss,
-        ) {
-            break;
         }
     }
 

@@ -169,8 +169,8 @@ pub fn elastic_churn() -> Scenario {
 
 /// Lossy interconnect: every message leg has a chance of being dropped, corrupted,
 /// duplicated or delayed under a seeded `[comm_faults]` schedule. Retries and
-/// timeouts price the weather into the run's time/byte totals, duplicates and
-/// reorders are absorbed by the idempotent message layer, and a worker whose
+/// timeouts price the weather into the run's time/byte totals, duplicated and
+/// delayed legs still deliver (they never change an outcome), and a worker whose
 /// retry budget runs dry is evicted like a scheduled crash (see
 /// `docs/COMM_FAULTS.md`).
 pub fn flaky_links() -> Scenario {

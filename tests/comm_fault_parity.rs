@@ -171,9 +171,9 @@ fn eviction_equals_a_scheduled_crash_modulo_comm_events() {
 
 #[test]
 fn duplicate_and_delay_weather_is_indistinguishable_from_lossless() {
-    // Duplicated deliveries are absorbed by envelope-id dedupe and delays only
-    // reorder frames within the timeout, so a drop/corrupt-free schedule must be
-    // a perfect no-op: identical logs *and* identical reports (no retry pricing).
+    // Duplicated and delayed legs still deliver, so they never cost an attempt:
+    // a drop/corrupt-free schedule must be a perfect no-op, with identical logs
+    // *and* identical reports (no retry pricing).
     let mut cfg = base_cfg();
     cfg.comm_faults = Some(CommFaultSpec {
         seed: 9,

@@ -2,7 +2,7 @@
 //!
 //! The `scenario_cluster` contract, pinned over *real OS processes*: one
 //! process per worker plus a parameter-server hub process, talking over a Unix
-//! domain socket through [`selsync_repro::comm::socket::SocketTransport`], must
+//! domain socket through [`selsync_repro::comm::socket::HubClient`] RPCs, must
 //! produce — after merging the per-process trace shards — the byte-identical
 //! event log of the sequential simulator, and every worker's synchronization
 //! schedule must equal the simulator's restricted to that worker's present
@@ -70,8 +70,8 @@ fn test_cfg(case: &str) -> TrainConfig {
             }
         }
         "flaky-links" => {
-            // The flaky-links built-in's link weather: every fault fate rides
-            // the socket transport through the FaultyTransport decorator.
+            // The flaky-links built-in's link weather: every worker process
+            // reads its retries and evictions from the closed-form schedule.
             c.comm_faults = Some(CommFaultSpec {
                 seed: 42,
                 drop: 0.08,
